@@ -194,9 +194,14 @@ def ks_statistic_two_sample(a, b) -> float:
 
 def _resolve_workers() -> int:
     raw = os.environ.get("MAXSTABLE_PV_THREADS", "").strip()
-    if raw in ("", "0"):
-        return os.cpu_count() or 1
-    return max(1, int(raw))
+    try:
+        workers = int(raw or 0)
+    except ValueError:
+        workers = -1
+    if workers < 0:
+        raise ValueError("MAXSTABLE_PV_THREADS must be a non-negative integer "
+                         f"(0 or unset = machine default), got {raw!r}")
+    return workers or os.cpu_count() or 1
 
 
 def _simulate_br(cfg: ExperimentConfig, index: int) -> MaxStablePath:

@@ -50,6 +50,8 @@ __all__ = [
     "replicate_rng",
 ]
 
+_BLOCK_SIZE = 64        # atoms per block; fixes the draw order of sample_brown_resnick
+
 
 def replicate_rng(master_seed: int, replicate_index: int) -> np.random.Generator:
     """Private stream for one replicate; disjoint across indices by the
@@ -346,66 +348,63 @@ class TruncationError(RuntimeError):
 
 def sample_brown_resnick(h: VolatilitySpec, grid: Grid, rng_stream,
                          epsilon: float, *, atom_budget: int = 1_000_000,
-                         retain_margin: float = 1.0,
-                         block_size: int = 64) -> MaxStablePath:
+                         retain_margin: float = 1.0) -> MaxStablePath:
     """Truncated-series simulation of the max-stable path eta = max R_i V_i.
 
-    Atoms are generated in fixed-size blocks so that shrinking epsilon (or
+    Atoms are generated in blocks of 64 so that shrinking epsilon (or
     raising the budget) extends the same draw sequence: the common prefix of
     atoms is bit-identical, which is what the truncation audit relies on.
+    The block size is fixed because it sets the draw order.  Two buffers of
+    64 x (n+1) doubles are allocated once per call and reused per block.
     """
     if not (np.isfinite(epsilon) and 0.0 < epsilon <= 0.01):
         raise ValueError(f"epsilon must lie in (0, 0.01], got {epsilon}")
     if retain_margin <= 0:
         raise ValueError(f"retain_margin must be positive, got {retain_margin}")
+    if not (isinstance(atom_budget, (int, np.integer)) and atom_budget >= 1):
+        raise ValueError(f"atom_budget must be an integer >= 1, got {atom_budget!r}")
     n = grid.n
     step_sd = h.step_standard_deviations(grid)
     total_var = float(h.variance_antiderivative(1.0))
     q_eps = math.sqrt(total_var) * float(-ndtri(epsilon / 2.0))
 
+    normals = np.empty((_BLOCK_SIZE, n))
+    z_block = np.empty((_BLOCK_SIZE, n + 1))
     run_max = np.full(n + 1, -np.inf)
-    run_arg = np.zeros(n + 1, dtype=np.int64)
-    retained = []                      # (generation index, log_r, z path)
+    retained = []                      # (log_r, z path)
     gamma_tail = 0.0
     generated = 0
     stop_margin = -np.inf
     stopped = False
 
     while not stopped and generated < atom_budget:
-        gaps = rng_stream.standard_exponential(block_size)
-        normals = rng_stream.standard_normal((block_size, n))
+        gaps = rng_stream.standard_exponential(_BLOCK_SIZE)
+        rng_stream.standard_normal(out=normals)
         gammas = gamma_tail + np.cumsum(gaps)
         gamma_tail = float(gammas[-1])
         log_r = -np.log(gammas)
-        z_block = np.empty((block_size, n + 1))
+        normals *= step_sd
         z_block[:, 0] = 0.0
-        np.cumsum(normals * step_sd[None, :], axis=1, out=z_block[:, 1:])
+        np.cumsum(normals, axis=1, out=z_block[:, 1:])
         z_block += log_r[:, None]
 
         block_best = z_block.max(axis=0)
-        block_arg = z_block.argmax(axis=0)
-        better = block_best > run_max
-        run_arg = np.where(better, generated + block_arg, run_arg)
-        run_max = np.where(better, block_best, run_max)
-        for b in range(block_size):
-            # superset of "within retain_margin of the final maximum":
-            # the running maximum only grows after this point
-            if np.max(z_block[b] - run_max) > -retain_margin:
-                retained.append((generated + b, float(log_r[b]), z_block[b].copy()))
-        generated += block_size
+        run_max = np.where(block_best > run_max, block_best, run_max)
         current_min = float(run_max.min())
+        # run_max only grows, and rounding is monotone: the peak prefilter is sound
+        for b in np.flatnonzero(z_block.max(axis=1) - current_min > -retain_margin):
+            if np.max(z_block[b] - run_max) > -retain_margin:
+                retained.append((float(log_r[b]), z_block[b].copy()))
+        generated += _BLOCK_SIZE
         stop_margin = current_min - (float(log_r[-1]) + q_eps)
         stopped = stop_margin > 0.0
 
     drift = h.cumulative_drift(grid)
-    kept = [(gi, lr, z) for gi, lr, z in retained
-            if np.max(z - run_max) > -retain_margin]
-    atoms = [SpectralAtom(log_r=lr,
-                          log_v_path=GridPath(grid, z - lr - drift),
+    atoms = [SpectralAtom(log_r=lr, log_v_path=GridPath(grid, z - lr - drift),
                           z_path=GridPath(grid, z))
-             for _, lr, z in kept]
-    kept_gen = np.array([gi for gi, _, _ in kept], dtype=np.int64)
-    argmax_index = np.searchsorted(kept_gen, run_arg)
+             for lr, z in retained if np.max(z - run_max) > -retain_margin]
+    # the first generated atom attaining the maximum is always kept
+    argmax_index = np.stack([a.z_path.values for a in atoms]).argmax(axis=0)
 
     path = MaxStablePath(
         log_eta=GridPath(grid, run_max - drift),

@@ -7,8 +7,8 @@ Criterion 7's disagreement clause is asserted as written and is expected
 red: the mean absolute gap between the kernel and Tanaka local-time
 estimators at n = 2^16 has an empirical floor near 0.074 (both estimators
 carry the canonical n^{-1/4} error, 1/16 here), minimized over the kernel
-halfwidth; the 0.05 bound sits 1.5x below that floor.  See the decisions
-ledger for the sweep.
+halfwidth; the 0.05 bound sits 1.5x below that floor.  See the
+criterion-7 numbers in item 4 of ROADMAP.md for the sweep.
 """
 
 import json
@@ -198,7 +198,7 @@ def test_criterion_07_local_time_means(local_time_estimates):
 
 
 def test_criterion_07_local_time_disagreement(local_time_estimates):
-    # asserted as stated; expected red, see module docstring and ledger
+    # asserted as stated; expected red, see module docstring
     kern, tank = local_time_estimates
     mad = float(np.mean(np.abs(kern - tank)))
     ok = _line("local-time disagreement", mad < 0.05,

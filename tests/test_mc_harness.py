@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
+from maxstable_pv import cli
 from maxstable_pv import mc_harness as mh
 from maxstable_pv.mc_harness import ExperimentConfig, ks_statistic, ks_statistic_two_sample
 
@@ -67,13 +69,22 @@ def test_config_roundtrip_and_hash():
     assert other.config_hash() != cfg.config_hash()
 
 
-def test_worker_resolution(monkeypatch):
+def test_worker_resolution(monkeypatch, capsys):
     monkeypatch.setenv("MAXSTABLE_PV_THREADS", "3")
     assert mh._resolve_workers() == 3
     monkeypatch.setenv("MAXSTABLE_PV_THREADS", "0")
     assert mh._resolve_workers() == (os.cpu_count() or 1)
     monkeypatch.delenv("MAXSTABLE_PV_THREADS")
     assert mh._resolve_workers() == (os.cpu_count() or 1)
+    for bad in ("abc", "-3", "1.5"):
+        monkeypatch.setenv("MAXSTABLE_PV_THREADS", bad)
+        with pytest.raises(ValueError, match=f"MAXSTABLE_PV_THREADS.*'{re.escape(bad)}'"):
+            mh._resolve_workers()
+    # the CLI reports the bad value as a usage error
+    code = cli.main(["verify", "--experiment", "lln", "--model", "max2bm",
+                     "--n", "64", "--reps", "8"])
+    assert code == cli.EXIT_USAGE
+    assert "MAXSTABLE_PV_THREADS" in capsys.readouterr().err
 
 
 def test_run_lln_max2bm_small():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -164,6 +165,14 @@ def test_br_epsilon_validation():
             sample_brown_resnick(vol, grid, rng, eps)
 
 
+def test_br_atom_budget_validation():
+    grid = Grid(16)
+    vol = VolatilitySpec.constant(1.0)
+    for budget in (0, -5, 2.5):
+        with pytest.raises(ValueError, match="atom_budget"):
+            sample_brown_resnick(vol, grid, replicate_rng(0, 0), 1e-3, atom_budget=budget)
+
+
 def test_br_frechet_marginal():
     grid = Grid(64)
     vol = VolatilitySpec.constant(1.0)
@@ -237,6 +246,79 @@ def test_br_budget_exhaustion():
     partial = exc.value.partial
     assert partial.truncation_diag.atoms_generated >= 32
     assert np.all(np.isfinite(partial.log_eta.values))
+
+
+# SHA-256 of every output byte of sample_brown_resnick, pinned so that a
+# rewrite of the sampler that must keep the draw order is checked to keep
+# every number.  The digests hold for numpy 2.4 / scipy 1.17 on x86-64; a
+# platform whose libm rounds log or pow differently needs them re-pinned
+# from a commit whose sampler is trusted.
+_GOLDEN_VOLS = {
+    "sigma1": VolatilitySpec.constant(1.0),
+    "sigma2": VolatilitySpec.constant(2.0),
+    "power": VolatilitySpec.power_law(1.0, 1.0, 1.0),
+    "table": VolatilitySpec.table([0.0, 0.3, 1.0], [1.0, 1.8, 0.7]),
+}
+_GOLDEN = [
+    # (vol, n, master_seed, replicate, epsilon, atom_budget, truncated, digest)
+    ("sigma1", 64, 1, 0, 1e-3, 10 ** 6, False,
+     "7141cbe1e9759861aaeacf3eea9281ab088c5211fddc05645443f7395b9823e5"),
+    ("sigma1", 256, 7, 3, 1e-3, 10 ** 6, False,
+     "9f132f53fae5ceb37735b14e933255222884cfbb6795342cc07565850a87b091"),
+    ("sigma1", 4096, 11, 5, 1e-3, 10 ** 6, False,
+     "18b03c7f58d836663a62a86d8a465a2e77566ca40b933ab5a7ce4310a0aa2c7f"),
+    ("sigma2", 64, 2, 1, 1e-3, 10 ** 6, False,
+     "d6b9695180161cf2d4024e2b14e534db44f3d989df5ecb006fec79af968b3252"),
+    ("sigma2", 256, 1, 0, 1e-3, 10 ** 6, False,
+     "201dae643114d4a39f2f72a2c9ef087e05f63f400e1f366babe5063b06faff00"),
+    ("sigma2", 4096, 3, 2, 1e-3, 10 ** 6, False,
+     "9c4c841d2266ff6754d8458476b9be0a15135c710e8340897d717751895cfbd8"),
+    ("sigma2", 4096, 1, 6, 1e-3, 10 ** 6, False,
+     "0055efee462561ef13ee16cca606dd22027f455104b18c11a9bb58fc776090df"),
+    ("power", 64, 4, 9, 1e-3, 10 ** 6, False,
+     "0e662d9203e34277bd32efecdd5c8073d161f2ddc2da1d164c8917542cd1afe9"),
+    ("power", 256, 5, 4, 1e-4, 10 ** 6, False,
+     "ee89fa12f98cbd5e613a1e71f5000646142da09ad8ebf0bf45a2d1c202886c8a"),
+    ("power", 4096, 6, 0, 1e-3, 10 ** 6, False,
+     "fc498df32340e0ca5adfed5f1eeeab6bd0b25500d04ac03ad51c00927eeea90e"),
+    ("table", 64, 8, 2, 1e-3, 10 ** 6, False,
+     "20e299cc4a21712b67cd4f75f2db1ce734da5535e9177d71ffdede93632369da"),
+    ("table", 256, 9, 7, 1e-3, 10 ** 6, False,
+     "dbc8b4b142c113cb2b249f3795891968999cdd7a4766b800b651cf00edc89590"),
+    ("table", 4096, 10, 1, 1e-3, 10 ** 6, False,
+     "1db452473930dae8531b1fabb5413d0c6261a6600b280c14d112e8b333855357"),
+    # budget exhausted: the digest covers TruncationError.partial
+    ("sigma1", 64, 41, 0, 1e-9, 32, True,
+     "bd5c92665206b6beb55f0b89a6c5aa5441e6f70adf32ef4e0b55a69dfead06d6"),
+    ("sigma2", 256, 12, 3, 1e-6, 100, True,
+     "ef7bc4581f3b076d6502b8a6e64af87422cdaf27769ace5c2409c9bb871d9d0b"),
+]
+
+
+def _path_digest(ms) -> str:
+    h = hashlib.sha256()
+    h.update(ms.log_eta.values.astype("<f8").tobytes())
+    for atom in ms.atoms:
+        h.update(np.float64(atom.log_r).astype("<f8").tobytes())
+        h.update(atom.z_path.values.astype("<f8").tobytes())
+        h.update(atom.log_v_path.values.astype("<f8").tobytes())
+    h.update(ms.argmax_index.astype("<i8").tobytes())
+    d = ms.truncation_diag
+    h.update(f"{len(ms.atoms)}|{d.atoms_generated}|{d.stop_rule_margin.hex()}"
+             f"|{d.epsilon.hex()}".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("vol,n,seed,rep,eps,budget,truncated,digest", _GOLDEN)
+def test_br_golden_outputs(vol, n, seed, rep, eps, budget, truncated, digest):
+    try:
+        ms = sample_brown_resnick(_GOLDEN_VOLS[vol], Grid(n), replicate_rng(seed, rep),
+                                  eps, atom_budget=budget)
+        was_truncated = False
+    except TruncationError as exc:
+        ms, was_truncated = exc.partial, True
+    assert was_truncated == truncated
+    assert _path_digest(ms) == digest
 
 
 def test_replicate_streams_are_disjoint_and_stable():
