@@ -17,7 +17,6 @@ from .increment_law import (
     cond_cdf,
     exact_abs_moment,
     marginal_cdf,
-    sample_increment,
 )
 from .path_sim import (
     Grid,
@@ -26,23 +25,17 @@ from .path_sim import (
     SpectralAtom,
     TruncationError,
     VolatilitySpec,
-    integrated_variance,
     replicate_rng,
     sample_brown_resnick,
     sample_brownian,
     sample_max_two_bm,
-    sample_spectral_log,
 )
 from .pv_stats import (
-    LocalTimeEstimate,
-    PVSeries,
     clt_bias_functional,
-    clt_bias_functional_const,
     estimate_h,
     local_time_kernel,
     local_time_tanaka,
     power_variation,
-    pv_series,
 )
 from .mc_harness import (
     ExperimentConfig,

@@ -39,7 +39,6 @@ __all__ = [
     "cond_cdf",
     "marginal_cdf",
     "exact_abs_moment",
-    "sample_increment",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -110,23 +109,3 @@ def exact_abs_moment(p: float, params: IncrementLawParams,
 
     res = adaptive_gauss_kronrod(integrand, 0.0, upper, cfg)
     return float(res.value)
-
-
-def sample_increment(params: IncrementLawParams, count: int, rng_stream) -> np.ndarray:
-    """i.i.d. draws from the marginal law by bisection inverse-CDF.
-
-    Bisection on [-40, 40] to an abscissa tolerance of 1e-12; deterministic
-    given the generator state.
-    """
-    if not (isinstance(count, (int, np.integer)) and count >= 1):
-        raise ValueError(f"count must be a positive integer, got {count!r}")
-    target = rng_stream.uniform(size=count)
-    lo = np.full(count, -40.0)
-    hi = np.full(count, 40.0)
-    # 47 halvings take the 80-wide bracket below 1e-12
-    for _ in range(47):
-        mid = 0.5 * (lo + hi)
-        below = marginal_cdf(mid, params) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)

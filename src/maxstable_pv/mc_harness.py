@@ -25,6 +25,7 @@ for tests whose samples carry simulation truncation bias.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -210,26 +211,22 @@ def _simulate_br(cfg: ExperimentConfig, index: int) -> MaxStablePath:
 
 
 def _row_lln(cfg: ExperimentConfig, index: int) -> dict:
-    rng = replicate_rng(cfg.master_seed, index)
     try:
         if cfg.model == "max2bm":
-            mx, _ = sample_max_two_bm(Grid(cfg.n), rng)
-            path = mx
+            path, _ = sample_max_two_bm(Grid(cfg.n), replicate_rng(cfg.master_seed, index))
         else:
-            path = sample_brown_resnick(cfg.volatility(), Grid(cfg.n), rng,
-                                        cfg.epsilon).log_eta
+            path = _simulate_br(cfg, index).log_eta
     except TruncationError:
         return {"B": float("nan"), "truncated": 1}
     return {"B": pv_stats.power_variation(path, cfg.p, cfg.t_eval), "truncated": 0}
 
 
 def _row_clt(cfg: ExperimentConfig, index: int) -> dict:
-    rng = replicate_rng(cfg.master_seed, index)
     p, t, n = cfg.p, cfg.t_eval, cfg.n
     lam1 = pv_stats.lambda_phi_unit(p)
     if cfg.model == "max2bm":
         grid = Grid(n)
-        mx, diff = sample_max_two_bm(grid, rng)
+        mx, diff = sample_max_two_bm(grid, replicate_rng(cfg.master_seed, index))
         b_val = pv_stats.power_variation(mx, p, t)
         s_val = math.sqrt(n) * (b_val - gauss_kernels.abs_moment(p) * t)
         lt = pv_stats.local_time_kernel(diff, t, cfg.halfwidth)
@@ -313,33 +310,16 @@ def _row_h_recovery(cfg: ExperimentConfig, index: int) -> dict:
     return {"mae": mae}
 
 
-_ROW_FNS = {
-    "lln": _row_lln,
-    "clt": _row_clt,
-    "marginal": _row_marginal,
-    "facts": _row_facts,
-    "maxstab_group": _row_maxstab_group,
-    "h_recovery": _row_h_recovery,
-}
-
-
-def _pool_task(args):
-    cfg_dict, fn_name, index = args
-    return _ROW_FNS[fn_name](ExperimentConfig.from_dict(cfg_dict), index)
-
-
-def _map_replicates(cfg: ExperimentConfig, fn_name: str, indices) -> list:
-    """Run one row function per index; results ordered by index regardless of
-    completion order."""
+def _map_replicates(cfg: ExperimentConfig, fn, indices) -> list:
+    """Run the row function ``fn(cfg, index)`` per index; results ordered by
+    index regardless of completion order."""
     indices = list(indices)
     workers = _resolve_workers()
     if workers <= 1 or len(indices) < 8:
-        fn = _ROW_FNS[fn_name]
         return [fn(cfg, i) for i in indices]
-    payload = [(cfg.to_dict(), fn_name, i) for i in indices]
     chunk = max(1, len(indices) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_pool_task, payload, chunksize=chunk))
+        return list(pool.map(functools.partial(fn, cfg), indices, chunksize=chunk))
 
 
 def _columns(rows: list, key: str) -> np.ndarray:
@@ -383,7 +363,7 @@ def run_lln(config: ExperimentConfig) -> ExperimentReport:
     """Replicate-mean of B(p)_t against its law-of-large-numbers target,
     with a 3-sigma band plus the predicted O(1/sqrt(n)) mean shift."""
     started = time.perf_counter()
-    rows = _map_replicates(config, "lln", range(config.reps))
+    rows = _map_replicates(config, _row_lln, range(config.reps))
     b = _columns(rows, "B")
     truncated = int(_columns(rows, "truncated").sum())
     ok = b[np.isfinite(b)]
@@ -405,7 +385,7 @@ def run_clt(config: ExperimentConfig) -> ExperimentReport:
     per-path bias estimate, residual variance, and Gaussianity of the
     standardized residuals."""
     started = time.perf_counter()
-    rows = _map_replicates(config, "clt", range(config.reps))
+    rows = _map_replicates(config, _row_clt, range(config.reps))
     keep = _columns(rows, "truncated") == 0
     s = _columns(rows, "S")[keep]
     x = _columns(rows, "x")[keep]
@@ -465,7 +445,7 @@ def run_marginal_increment(config: ExperimentConfig) -> ExperimentReport:
     started = time.perf_counter()
     if config.model != "br" or config.sigma is None:
         raise ValueError("marginal_increment requires model 'br' with constant sigma")
-    rows = _map_replicates(config, "marginal", range(config.reps))
+    rows = _map_replicates(config, _row_marginal, range(config.reps))
     u = _columns(rows, "U")
     u = u[np.isfinite(u)]
     params = increment_law.IncrementLawParams(config.sigma, config.n)
@@ -500,8 +480,8 @@ def run_distributional_facts(config: ExperimentConfig) -> ExperimentReport:
     if config.model != "br":
         raise ValueError("distributional facts require model 'br'")
     reps = config.reps
-    rows = _map_replicates(config, "facts", range(reps))
-    groups = _map_replicates(config, "maxstab_group", range(reps, 2 * reps))
+    rows = _map_replicates(config, _row_facts, range(reps))
+    groups = _map_replicates(config, _row_maxstab_group, range(reps, 2 * reps))
 
     log_eta_03 = _columns(rows, "log_eta_03")
     eta_03 = np.exp(log_eta_03)
@@ -579,7 +559,7 @@ def run_h_recovery(config: ExperimentConfig) -> ExperimentReport:
         raise ValueError("estimate_h experiment requires model 'br'")
     if config.window == 0:
         raise ValueError("estimate_h experiment requires a window")
-    rows = _map_replicates(config, "h_recovery", range(config.reps))
+    rows = _map_replicates(config, _row_h_recovery, range(config.reps))
     mae = _columns(rows, "mae")
     mean_mae = float(mae.mean())
     aggregate = {"mean_interior_mae": mean_mae}
@@ -600,4 +580,5 @@ EXPERIMENTS = {
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    _resolve_workers()      # a bad MAXSTABLE_PV_THREADS fails every experiment alike
     return EXPERIMENTS[config.experiment](config)

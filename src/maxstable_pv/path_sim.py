@@ -42,10 +42,8 @@ __all__ = [
     "MaxStablePath",
     "TruncationDiagnostics",
     "TruncationError",
-    "integrated_variance",
     "sample_brownian",
     "sample_max_two_bm",
-    "sample_spectral_log",
     "sample_brown_resnick",
     "replicate_rng",
 ]
@@ -258,13 +256,6 @@ class VolatilitySpec:
         return 0.5 * self.variance_antiderivative(grid.times)
 
 
-def integrated_variance(h: VolatilitySpec, a: float, b: float) -> float:
-    """int_a^b H_s^2 ds; requires 0 <= a <= b <= 1."""
-    if not 0.0 <= a <= b <= 1.0:
-        raise ValueError(f"need 0 <= a <= b <= 1, got ({a}, {b})")
-    return float(h.variance_antiderivative(b) - h.variance_antiderivative(a))
-
-
 # ---------------------------------------------------------------------------
 # elementary samplers
 # ---------------------------------------------------------------------------
@@ -286,15 +277,6 @@ def sample_max_two_bm(grid: Grid, rng_stream):
     mx = GridPath(grid, np.maximum(w1.values, w2.values))
     diff = GridPath(grid, w2.values - w1.values)
     return mx, diff
-
-
-def sample_spectral_log(h: VolatilitySpec, grid: Grid, rng_stream) -> GridPath:
-    """log V on the grid: exact Gaussian step variances, exact drift."""
-    incs = rng_stream.standard_normal(grid.n) * h.step_standard_deviations(grid)
-    mart = np.empty(grid.n + 1)
-    mart[0] = 0.0
-    np.cumsum(incs, out=mart[1:])
-    return GridPath(grid, mart - h.cumulative_drift(grid))
 
 
 # ---------------------------------------------------------------------------

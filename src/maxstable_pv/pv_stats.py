@@ -1,4 +1,4 @@
-"""Path statistics: power variations, local times, and the CLT bias functionals.
+"""Path statistics: power variations, local times, and the CLT pair bias functional.
 
 The normalized power variation of order p of a grid path X is
 
@@ -18,54 +18,37 @@ lambda(phi_{p, H_s}) / (2 H_s^2) and restricted to the steps where the pair
 tops every other atom.  lambda(phi_{p,sigma}) = sigma^{p+1} lambda(phi_{p,1})
 exactly (change of variables in the defining double integral), so a single
 unit-sigma constant serves every step weight.
+
+At most one pair can lie strictly above every other atom at a step: the
+top two, when the second value v2 exceeds the third v3.  So with the step's
+values v1 >= v2 >= v3 (v3 = -inf for two atoms) the pair restriction is
+v2 > v3, and the near-tie test is v1 - v2 <= h/sqrt(n), because
+|Z_j - Z_k| equals max - min exactly in floating point.  One pass over the
+top two replaces the loop over all K(K-1)/2 pairs.  The weighted counts
+are still summed one pair at a time, in ascending (j, k) order, so the
+result is the pair loop's to the last bit and seeded reports do not move.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import gauss_kernels
-from .path_sim import Grid, GridPath, MaxStablePath
+from .path_sim import GridPath, MaxStablePath
 from .quadrature import QuadratureConfig
 
 __all__ = [
-    "PVSeries",
-    "LocalTimeEstimate",
     "power_variation",
-    "pv_series",
     "local_time_kernel",
     "local_time_tanaka",
-    "local_time_kernel_series",
-    "local_time_tanaka_series",
     "clt_bias_functional",
-    "clt_bias_functional_const",
     "estimate_h",
     "full_window_slice",
     "lambda_phi_unit",
 ]
-
-
-@dataclass(frozen=True)
-class PVSeries:
-    """B(p, X)^n evaluated at every grid time; nondecreasing, starts at 0."""
-
-    p: int
-    grid: Grid
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class LocalTimeEstimate:
-    """A local-time-at-zero estimate per grid time."""
-
-    method: str
-    grid: Grid
-    values: np.ndarray
-    kernel_halfwidth: float | None = None
 
 
 def _check_order(p) -> int:
@@ -85,16 +68,6 @@ def power_variation(path: GridPath, p: int, t: float) -> float:
     return float(n ** (p / 2.0 - 1.0) * np.sum(np.abs(d) ** p))
 
 
-def pv_series(path: GridPath, p: int) -> PVSeries:
-    p = _check_order(p)
-    n = path.grid.n
-    powers = np.abs(np.diff(path.values)) ** p
-    vals = np.zeros(n + 1)
-    # B at t = k/n sums increments 1 .. k-1
-    vals[2:] = n ** (p / 2.0 - 1.0) * np.cumsum(powers[: n - 1])
-    return PVSeries(p=p, grid=path.grid, values=vals)
-
-
 def local_time_kernel(path: GridPath, t: float, halfwidth: float) -> float:
     """Kernel-count estimate of L^0_t using g = 1_{[-h, h]} (lambda(g) = 2h)."""
     if halfwidth <= 0:
@@ -106,16 +79,6 @@ def local_time_kernel(path: GridPath, t: float, halfwidth: float) -> float:
     left = path.values[: m - 1]
     hits = np.abs(math.sqrt(n) * left) <= halfwidth
     return float(hits.sum() / (halfwidth * math.sqrt(n)))
-
-
-def local_time_kernel_series(path: GridPath, halfwidth: float) -> LocalTimeEstimate:
-    if halfwidth <= 0:
-        raise ValueError(f"halfwidth must be positive, got {halfwidth}")
-    n = path.grid.n
-    hits = np.abs(math.sqrt(n) * path.values[: n - 1]) <= halfwidth
-    vals = np.zeros(n + 1)
-    vals[2:] = np.cumsum(hits) / (halfwidth * math.sqrt(n))
-    return LocalTimeEstimate("kernel", path.grid, vals, kernel_halfwidth=halfwidth)
 
 
 def _sign_plus(x: np.ndarray) -> np.ndarray:
@@ -133,68 +96,11 @@ def local_time_tanaka(path: GridPath, t: float) -> float:
     return float(abs(v[m]) - abs(v[0]) - signed.sum())
 
 
-def local_time_tanaka_series(path: GridPath) -> LocalTimeEstimate:
-    v = path.values
-    signed = _sign_plus(v[:-1]) * np.diff(v)
-    vals = np.abs(v) - abs(v[0]) - np.concatenate([[0.0], np.cumsum(signed)])
-    return LocalTimeEstimate("tanaka", path.grid, vals)
-
-
 @lru_cache(maxsize=32)
 def lambda_phi_unit(p: int) -> float:
     """lambda(phi_{p,1}), computed once per order and reused via the exact
     sigma^{p+1} scaling law."""
     return gauss_kernels.lambda_integral(p, 1.0, QuadratureConfig(), "phi")
-
-
-def _pair_indicator_sums(ms_path: MaxStablePath, p: int, t: float,
-                         halfwidth: float, step_weights):
-    """Common pair/indicator accumulation for both bias-functional routes.
-
-    ``step_weights`` is a vector over left endpoints (or None for plain
-    counting); returns the accumulated weighted count.
-    """
-    if halfwidth <= 0:
-        raise ValueError(f"halfwidth must be positive, got {halfwidth}")
-    atoms = ms_path.atoms
-    if len(atoms) < 2:
-        raise ValueError("bias functional needs at least 2 retained atoms")
-    grid = ms_path.grid
-    n = grid.n
-    if halfwidth / math.sqrt(n) >= ms_path.retain_margin:
-        raise ValueError(
-            f"halfwidth/sqrt(n) = {halfwidth / math.sqrt(n):.3g} reaches the "
-            f"retain margin {ms_path.retain_margin}; near-top atoms may be missing")
-    m = grid.last_increment(t)
-    if m <= 1:
-        return 0.0
-    Z = np.stack([a.z_path.values[: m - 1] for a in atoms])
-    K = Z.shape[0]
-    thr = halfwidth / math.sqrt(n)
-    if K >= 3:
-        top = np.argpartition(Z, kth=range(K - 3, K) if K > 3 else range(K), axis=0)[-3:]
-        top_vals = np.take_along_axis(Z, top, axis=0)
-    total = 0.0
-    for j in range(K):
-        zj = Z[j]
-        for k in range(j + 1, K):
-            zk = Z[k]
-            near = np.abs(zj - zk) <= thr
-            if not near.any():
-                continue
-            if K == 2:
-                others = np.full(Z.shape[1], -np.inf)
-            else:
-                not_jk2 = (top[2] != j) & (top[2] != k)
-                not_jk1 = (top[1] != j) & (top[1] != k)
-                others = np.where(not_jk2, top_vals[2],
-                                  np.where(not_jk1, top_vals[1], top_vals[0]))
-            fire = near & (np.minimum(zj, zk) > others)
-            if step_weights is None:
-                total += float(fire.sum())
-            else:
-                total += float(step_weights[: m - 1] @ fire)
-    return total
 
 
 def clt_bias_functional(ms_path: MaxStablePath, p: int, t: float,
@@ -212,30 +118,38 @@ def clt_bias_functional(ms_path: MaxStablePath, p: int, t: float,
     passed to skip the (cached) unit-sigma quadrature.
     """
     p = _check_order(p)
-    lam1 = lambda_phi_unit(p) if lambda_phi1 is None else float(lambda_phi1)
+    if halfwidth <= 0:
+        raise ValueError(f"halfwidth must be positive, got {halfwidth}")
+    atoms = ms_path.atoms
+    if len(atoms) < 2:
+        raise ValueError("bias functional needs at least 2 retained atoms")
     grid = ms_path.grid
-    h_left = ms_path.vol.value(grid.times[: grid.n])
-    weights = lam1 * h_left ** (p + 1) / (2.0 * halfwidth * math.sqrt(grid.n))
-    return _pair_indicator_sums(ms_path, p, t, halfwidth, weights)
-
-
-def clt_bias_functional_const(ms_path: MaxStablePath, p: int, t: float,
-                              halfwidth: float, lambda_phi1: float | None = None) -> float:
-    """Dedicated constant-volatility route: a single prefactor
-    lambda(phi_{p,sigma}) / (2 sigma^2) times the indicator-restricted
-    local-time sum of the pair differences (each increment sigma^2 / (h
-    sqrt(n)) per band hit).  Must agree with the general route on constant
-    input."""
-    p = _check_order(p)
-    if ms_path.vol.kind != "constant":
-        raise ValueError("constant-volatility route requires a constant VolatilitySpec")
-    sigma = ms_path.vol.sigma
+    n = grid.n
+    thr = halfwidth / math.sqrt(n)
+    if thr >= ms_path.retain_margin:
+        raise ValueError(
+            f"halfwidth/sqrt(n) = {thr:.3g} reaches the "
+            f"retain margin {ms_path.retain_margin}; near-top atoms may be missing")
     lam1 = lambda_phi_unit(p) if lambda_phi1 is None else float(lambda_phi1)
-    lam_sigma = sigma ** (p + 1) * lam1
-    count = _pair_indicator_sums(ms_path, p, t, halfwidth, None)
-    n = ms_path.grid.n
-    local_time_sum = sigma ** 2 * count / (halfwidth * math.sqrt(n))
-    return lam_sigma / (2.0 * sigma ** 2) * local_time_sum
+    h_left = ms_path.vol.value(grid.times[:n])
+    weights = lam1 * h_left ** (p + 1) / (2.0 * halfwidth * math.sqrt(n))
+    m = grid.last_increment(t)
+    if m <= 1:
+        return 0.0
+
+    Z = np.stack([a.z_path.values[: m - 1] for a in atoms])
+    K = Z.shape[0]
+    top = np.argpartition(Z, range(max(K - 3, 0), K), axis=0)[-3:]
+    v = np.take_along_axis(Z, top, axis=0)        # v[-1] >= v[-2] >= v[-3]
+    v3 = v[-3] if K >= 3 else -np.inf
+    fire = (v[-1] - v[-2] <= thr) & (v[-2] > v3)
+    pair = np.minimum(top[-1], top[-2]) * K + np.maximum(top[-1], top[-2])
+    pair[~fire] = -1
+    w = weights[: m - 1]
+    total = 0.0
+    for code in np.unique(pair[fire]):            # ascending code = (j, k) loop order
+        total += float(w @ (pair == code))
+    return total
 
 
 def estimate_h(path: GridPath, p: int, window: int) -> GridPath:

@@ -10,7 +10,6 @@ from maxstable_pv.increment_law import (
     cond_cdf,
     exact_abs_moment,
     marginal_cdf,
-    sample_increment,
 )
 from maxstable_pv.quadrature import QuadratureConfig, adaptive_gauss_kronrod
 
@@ -117,35 +116,3 @@ def test_exact_abs_moment_error_decreases():
     params = [IncrementLawParams(1.0, 10 ** k) for k in (2, 4, 6, 8)]
     errs = [abs(exact_abs_moment(2, pr) - 1.0) for pr in params]
     assert all(a > b for a, b in zip(errs, errs[1:]))
-
-
-def test_sampler_matches_cdf():
-    params = IncrementLawParams(1.0, 256)
-    rng = np.random.default_rng(42)
-    draws = sample_increment(params, 100_000, rng)
-    x = np.sort(draws)
-    f = marginal_cdf(x, params)
-    m = len(x)
-    ks = max(np.max(np.arange(1, m + 1) / m - f), np.max(f - np.arange(0, m) / m))
-    assert ks < 1.36 / math.sqrt(m) * 1.5
-
-
-def test_sampler_moments():
-    rng = np.random.default_rng(7)
-    draws = sample_increment(IncrementLawParams(1.0, 100), 1_000_000, rng)
-    se = draws.std() / math.sqrt(len(draws))
-    assert abs(draws.mean()) < 4 * se
-
-    draws = sample_increment(IncrementLawParams(1.0, 10 ** 8), 1_000_000, rng)
-    sq = draws ** 2
-    se = sq.std() / math.sqrt(len(sq))
-    assert abs(sq.mean() - 1.0) < 4 * se
-
-
-def test_sampler_deterministic():
-    params = IncrementLawParams(1.0, 64)
-    a = sample_increment(params, 100, np.random.default_rng(3))
-    b = sample_increment(params, 100, np.random.default_rng(3))
-    assert np.array_equal(a, b)
-    with pytest.raises(ValueError):
-        sample_increment(params, 0, np.random.default_rng(3))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -81,10 +82,12 @@ def test_worker_resolution(monkeypatch, capsys):
         with pytest.raises(ValueError, match=f"MAXSTABLE_PV_THREADS.*'{re.escape(bad)}'"):
             mh._resolve_workers()
     # the CLI reports the bad value as a usage error
-    code = cli.main(["verify", "--experiment", "lln", "--model", "max2bm",
-                     "--n", "64", "--reps", "8"])
-    assert code == cli.EXIT_USAGE
-    assert "MAXSTABLE_PV_THREADS" in capsys.readouterr().err
+    for argv in (["--experiment", "lln", "--model", "max2bm", "--n", "64", "--reps", "8"],
+                 # never maps replicates, so the value is checked at entry
+                 ["--experiment", "moment_bias", "--model", "br", "--p", "1",
+                  "--n", "256", "--reps", "2"]):
+        assert cli.main(["verify", *argv]) == cli.EXIT_USAGE
+        assert "MAXSTABLE_PV_THREADS" in capsys.readouterr().err
 
 
 def test_run_lln_max2bm_small():
@@ -178,3 +181,24 @@ def test_run_experiment_dispatch():
                            reps=2, sigma=1.0)
     report = mh.run_experiment(cfg)
     assert report.config_hash == cfg.config_hash()
+
+
+@pytest.mark.parametrize("case, workers, digest", [
+    (dict(experiment="clt", sigma=1.0), "1",
+     "0da066213d1fdc34cea55b6a312b2a7759d64d3b42b9558c5394554b67011328"),
+    (dict(experiment="clt", sigma=2.0), "1",
+     "a4f2f96e5454139f6a027c9a1e896ff58c91d35b5752cfd251ba44b002e9b7d7"),
+    (dict(experiment="clt", sigma=None,
+          h_spec={"form": "power_law", "a": 1.0, "b": 1.0, "gamma": 1.0}), "1",
+     "72100afec8b96a0c555c9066d63d2658a358404db980743d0429dbb5842cba73"),
+    (dict(experiment="frechet", sigma=1.0, n=256), "2",
+     "3dd3115198143363fc160fd982cb2c46e3458a8342f4093038b5752fca74738a"),
+], ids=("clt-sigma1", "clt-sigma2", "clt-power", "frechet-pooled"))
+def test_report_golden_digests(monkeypatch, case, workers, digest):
+    # SHA-256 of the canonical report; any change to a drawn number, a
+    # statistic or its summation order shows up here
+    cfg = ExperimentConfig(**{"model": "br", "p": 2, "n": 1024, "reps": 64,
+                              "epsilon": 1e-3, "master_seed": 1, **case})
+    monkeypatch.setenv("MAXSTABLE_PV_THREADS", workers)
+    report = mh.run_experiment(cfg)
+    assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == digest

@@ -9,12 +9,10 @@ from maxstable_pv.path_sim import (
     GridPath,
     TruncationError,
     VolatilitySpec,
-    integrated_variance,
     replicate_rng,
     sample_brown_resnick,
     sample_brownian,
     sample_max_two_bm,
-    sample_spectral_log,
 )
 
 
@@ -34,27 +32,33 @@ def test_grid_and_path_validation():
 # volatility forms
 # ---------------------------------------------------------------------------
 
+def _integrated_variance(h: VolatilitySpec, a: float, b: float) -> float:
+    return float(h.variance_antiderivative(b) - h.variance_antiderivative(a))
+
+
 def test_integrated_variance_constant():
     h = VolatilitySpec.constant(2.0)
-    assert integrated_variance(h, 0.25, 0.75) == pytest.approx(2.0, abs=1e-14)
+    assert _integrated_variance(h, 0.25, 0.75) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_integrated_variance_power_law():
     h = VolatilitySpec.power_law(0.0 + 1e-9, 1.0, 1.0)   # H(s) ~ s
-    assert integrated_variance(h, 0.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-6)
+    assert _integrated_variance(h, 0.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-6)
     h2 = VolatilitySpec.power_law(1.0, 1.0, 1.0)          # H(s) = 1 + s
-    assert integrated_variance(h2, 0.0, 1.0) == pytest.approx(7.0 / 3.0, abs=1e-14)
+    assert _integrated_variance(h2, 0.0, 1.0) == pytest.approx(7.0 / 3.0, abs=1e-14)
 
 
 def test_integrated_variance_table():
     h = VolatilitySpec.table([0.0, 1.0], [1.0, 1.0])
-    assert integrated_variance(h, 0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
+    assert _integrated_variance(h, 0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
     # piecewise-linear hat: both halves integrate (1 + 2s)^2 over [0, 1/2]
     h2 = VolatilitySpec.table([0.0, 0.5, 1.0], [1.0, 2.0, 1.0])
     exact = 2 * (0.5 + 2 * 0.5 ** 2 + 4 * 0.5 ** 3 / 3)   # c^2 x + c d x^2 + d^2 x^3 / 3
-    assert integrated_variance(h2, 0.0, 1.0) == pytest.approx(exact, abs=1e-12)
+    assert _integrated_variance(h2, 0.0, 1.0) == pytest.approx(exact, abs=1e-12)
+    assert h2.integrated_power(2, 0.2, 0.9) == pytest.approx(
+        _integrated_variance(h2, 0.2, 0.9), abs=1e-12)
     with pytest.raises(ValueError):
-        integrated_variance(h, 0.7, 0.3)
+        h.integrated_power(2, 0.7, 0.3)
 
 
 def test_volatility_validation():
@@ -127,29 +131,30 @@ def test_max_two_bm():
     assert abs(at_one.mean() - target) < 4 * se
 
 
+_VOLS = (VolatilitySpec.constant(1.5), VolatilitySpec.power_law(1.0, 1.0, 1.0),
+         VolatilitySpec.table([0.0, 0.3, 1.0], [1.0, 2.0, 1.5]))
+
+
 def test_spectral_log_is_mean_one_martingale():
+    # log V_t = int_0^t H dW - (1/2) int_0^t H^2 ds is mean-one exactly when
+    # the drift is half the variance of the Gaussian part
     grid = Grid(16)
-    reps = 100_000
-    vol = VolatilitySpec.constant(1.0)
-    v1 = np.empty(reps)
-    for r in range(reps):
-        lv = sample_spectral_log(vol, grid, replicate_rng(17, r))
-        if r == 0:
-            assert lv.values[0] == 0.0
-        v1[r] = math.exp(lv.values[-1])
-    se = v1.std(ddof=1) / math.sqrt(reps)
-    assert abs(v1.mean() - 1.0) < 4 * se
+    for vol in _VOLS:
+        drift = vol.cumulative_drift(grid)
+        assert drift[0] == 0.0
+        var = np.concatenate([[0.0], np.cumsum(vol.step_standard_deviations(grid) ** 2)])
+        assert np.allclose(drift, 0.5 * var, rtol=1e-13, atol=0.0)
+        assert np.array_equal(drift, 0.5 * vol.variance_antiderivative(grid.times))
 
 
 def test_spectral_log_variance():
+    # the per-step variances add up to Var log V_1 = int_0^1 H^2 ds
     grid = Grid(16)
-    reps = 100_000
-    vol = VolatilitySpec.constant(1.5)
-    lv1 = np.array([sample_spectral_log(vol, grid, replicate_rng(19, r)).values[-1]
-                    for r in range(reps)])
-    var = lv1.var(ddof=1)
-    se = 1.5 ** 2 * math.sqrt(2.0 / (reps - 1))
-    assert abs(var - 1.5 ** 2) < 4 * se
+    for vol in _VOLS:
+        total = float(np.sum(vol.step_standard_deviations(grid) ** 2))
+        assert total == pytest.approx(vol.variance_antiderivative(1.0), rel=1e-14)
+    assert float(np.sum(VolatilitySpec.constant(1.5).step_standard_deviations(grid) ** 2)) \
+        == pytest.approx(1.5 ** 2, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxstable_pv import pv_stats
 from maxstable_pv.path_sim import (
@@ -79,17 +81,6 @@ def test_power_variation_early_times_zero():
         pv_stats.power_variation(path, 0, 1.0)
 
 
-def test_pv_series_matches_pointwise_and_monotone():
-    grid = Grid(64)
-    path = sample_brownian(grid, replicate_rng(1, 2))
-    series = pv_stats.pv_series(path, 2)
-    assert series.values[0] == 0.0 and series.values[1] == 0.0
-    assert np.all(np.diff(series.values) >= 0.0)
-    for k in (2, 17, 64):
-        assert series.values[k] == pytest.approx(
-            pv_stats.power_variation(path, 2, k / 64.0), abs=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # local time estimators
 # ---------------------------------------------------------------------------
@@ -132,19 +123,6 @@ def test_local_time_estimators_hit_known_mean():
         assert abs(est.mean() - TWO_OVER_SQRT_PI) < 4 * se
 
 
-def test_local_time_series_properties():
-    grid = Grid(1024)
-    _, diff = sample_max_two_bm(grid, replicate_rng(5, 12345))
-    for series in (pv_stats.local_time_kernel_series(diff, 1.0),
-                   pv_stats.local_time_tanaka_series(diff)):
-        assert series.values[0] == 0.0
-        assert np.all(np.diff(series.values) >= -1e-15)
-        assert np.all(series.values >= -1e-15)
-    ks = pv_stats.local_time_kernel_series(diff, 1.0)
-    assert ks.values[-1] == pytest.approx(
-        pv_stats.local_time_kernel(diff, 1.0, 1.0), abs=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # bias functional
 # ---------------------------------------------------------------------------
@@ -177,14 +155,73 @@ def test_bias_functional_reduces_to_kernel_local_time():
     assert got == pytest.approx(expected, abs=1e-12)
 
 
-def test_bias_functional_const_route_matches_general():
+def _pair_loop_bias(ms_path: MaxStablePath, p: int, t: float, halfwidth: float) -> float:
+    """Reference: the per-pair loop over atoms j < k, each pair firing where
+    |Z_j - Z_k| <= h/sqrt(n) and both lie strictly above every other atom,
+    accumulated pair by pair."""
+    lam1 = pv_stats.lambda_phi_unit(p)
+    grid = ms_path.grid
+    n = grid.n
+    weights = lam1 * ms_path.vol.value(grid.times[:n]) ** (p + 1) / (
+        2.0 * halfwidth * math.sqrt(n))
+    m = grid.last_increment(t)
+    if m <= 1:
+        return 0.0
+    Z = np.stack([a.z_path.values[: m - 1] for a in ms_path.atoms])
+    K = Z.shape[0]
+    thr = halfwidth / math.sqrt(n)
+    total = 0.0
+    for j in range(K):
+        for k in range(j + 1, K):
+            near = np.abs(Z[j] - Z[k]) <= thr
+            if not near.any():
+                continue
+            rest = np.delete(Z, [j, k], axis=0)
+            others = rest.max(axis=0) if len(rest) else np.full(Z.shape[1], -np.inf)
+            fire = near & (np.minimum(Z[j], Z[k]) > others)
+            total += float(weights[: m - 1] @ fire)
+    return total
+
+
+_VOLS = (VolatilitySpec.constant(1.0), VolatilitySpec.constant(1.7),
+         VolatilitySpec.power_law(1.0, 1.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), k=st.integers(2, 7), t=st.sampled_from((0.5, 1.0)),
+       vol=st.sampled_from(_VOLS))
+def test_bias_functional_matches_pair_loop(data, k, t, vol):
+    # values on the 1/8 lattice with h/sqrt(n) = 1/4: exact ties between
+    # atoms and gaps exactly at the threshold both occur
+    grid = Grid(16)
+    levels = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=17, max_size=17),
+                                min_size=k, max_size=k))
+    z = [np.asarray(row, dtype=float) / 8.0 for row in levels]
+    drift = vol.cumulative_drift(grid)
+    atoms = [SpectralAtom(0.0, GridPath(grid, zi - drift), GridPath(grid, zi)) for zi in z]
+    zmat = np.stack(z)
+    ms = MaxStablePath(
+        log_eta=GridPath(grid, zmat.max(axis=0) - drift),
+        atoms=atoms,
+        argmax_index=zmat.argmax(axis=0),
+        truncation_diag=TruncationDiagnostics(64, math.inf, 1e-3),
+        vol=vol,
+        retain_margin=math.inf,
+    )
+    got = pv_stats.clt_bias_functional(ms, 2, t, 1.0)
+    assert got == _pair_loop_bias(ms, 2, t, 1.0)
+
+
+@pytest.mark.parametrize("vol", _VOLS, ids=("sigma1", "sigma1.7", "power"))
+def test_bias_functional_matches_pair_loop_on_sampled_paths(vol):
     grid = Grid(512)
-    vol = VolatilitySpec.constant(1.7)
-    ms = sample_brown_resnick(vol, grid, replicate_rng(6, 1), 1e-3)
-    for t in (0.5, 1.0):
-        general = pv_stats.clt_bias_functional(ms, 2, t, 1.0)
-        const = pv_stats.clt_bias_functional_const(ms, 2, t, 1.0)
-        assert abs(general - const) < 1e-12
+    for rep in range(3):
+        ms = sample_brown_resnick(vol, grid, replicate_rng(6, 10 + rep), 1e-3)
+        if len(ms.atoms) < 2:
+            continue
+        for t in (0.5, 1.0):
+            assert pv_stats.clt_bias_functional(ms, 2, t, 1.0) == \
+                _pair_loop_bias(ms, 2, t, 1.0)
 
 
 def test_bias_functional_interval_additivity():
