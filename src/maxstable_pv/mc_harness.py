@@ -40,7 +40,6 @@ from scipy.special import ndtr
 from . import gauss_kernels, increment_law, pv_stats
 from .path_sim import (
     Grid,
-    GridPath,
     MaxStablePath,
     TruncationDiagnostics,
     TruncationError,
@@ -94,6 +93,10 @@ class ExperimentConfig:
                              f"choose from {_EXPERIMENT_NAMES}")
         if self.model not in ("max2bm", "br"):
             raise ValueError(f"model must be 'max2bm' or 'br', got {self.model!r}")
+        for name in ("p", "n", "reps", "window", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.reps < 2:
             raise ValueError("reps must be >= 2")
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
@@ -236,8 +239,8 @@ def _row_clt(cfg: ExperimentConfig, index: int) -> dict:
         w1 = mx.values - np.maximum(diff.values, 0.0)
         synthetic = MaxStablePath(
             log_eta=mx,
-            atoms=[_unit_atom(grid, w1), _unit_atom(grid, w1 + diff.values)],
-            argmax_index=np.zeros(n + 1, dtype=np.int64),
+            log_r=np.zeros(2),
+            z=np.stack([w1, w1 + diff.values]),
             truncation_diag=TruncationDiagnostics(2, math.inf, cfg.epsilon),
             vol=VolatilitySpec.constant(1.0),
             retain_margin=math.inf,
@@ -254,20 +257,13 @@ def _row_clt(cfg: ExperimentConfig, index: int) -> dict:
     target = gauss_kernels.abs_moment(p) * vol.integrated_power(p, 0.0, t)
     b_val = pv_stats.power_variation(ms.log_eta, p, t)
     s_val = math.sqrt(n) * (b_val - target)
-    if len(ms.atoms) >= 2:
+    if ms.z.shape[0] >= 2:
         bhat = pv_stats.clt_bias_functional(ms, p, t, cfg.halfwidth, lam1)
     else:
         # a single atom within the retain margin of the max: no pair can be
         # simultaneously near-tied and on top, so the functional vanishes
         bhat = 0.0
     return {"S": s_val, "x": bhat, "bhat": bhat, "truncated": 0, "route_gap": 0.0}
-
-
-def _unit_atom(grid: Grid, z_values: np.ndarray):
-    from .path_sim import SpectralAtom
-    return SpectralAtom(log_r=0.0,
-                        log_v_path=GridPath(grid, z_values - 0.5 * grid.times),
-                        z_path=GridPath(grid, z_values))
 
 
 def _row_marginal(cfg: ExperimentConfig, index: int) -> dict:

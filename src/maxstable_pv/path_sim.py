@@ -21,13 +21,17 @@ at most eps per atom, where q_eps = sqrt(Sigma) * PhibarInv(eps/2) bounds
 sup_t int H dW via the reflection inequality (Sigma = int_0^1 H^2 ds).
 
 Atoms whose Z-path ever comes within ``retain_margin`` of the final maximum
-are kept with full bookkeeping (they are the only ones that can enter the
-pair local-time functionals); the rest are discarded after updating the
-running maximum.
+are kept (they are the only ones that can enter the pair local-time
+functionals); the rest are discarded after updating the running maximum.
+The kept atoms are stored as two arrays, their log weights ``log_r`` and
+their Z paths ``z``; the ``SpectralAtom`` objects and the argmax index are
+built from them on first read, so statistics that only need the path pay
+nothing for them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,6 +53,7 @@ __all__ = [
 ]
 
 _BLOCK_SIZE = 64        # atoms per block; fixes the draw order of sample_brown_resnick
+_MAX_BLOCK_BYTES = 512 * 2 ** 20    # cap on the two block buffers; allows n up to 2^19 - 1
 
 
 def replicate_rng(master_seed: int, replicate_index: int) -> np.random.Generator:
@@ -306,18 +311,43 @@ class TruncationDiagnostics:
 @dataclass(frozen=True)
 class MaxStablePath:
     """A simulated max-stable path with enough atom bookkeeping for the
-    pair local-time bias functionals."""
+    pair local-time bias functionals.
+
+    The retained atoms are stored as arrays: ``log_r`` of shape (K,) and
+    ``z`` of shape (K, n+1), row k the Z path of the k-th kept atom in
+    generation order.  ``atoms`` and ``argmax_index`` are built from them
+    on first read.
+    """
 
     log_eta: GridPath
-    atoms: list
-    argmax_index: np.ndarray
+    log_r: np.ndarray
+    z: np.ndarray
     truncation_diag: TruncationDiagnostics
     vol: VolatilitySpec
     retain_margin: float
 
+    def __post_init__(self):
+        if self.z.shape != (len(self.log_r), self.grid.n + 1):
+            raise ValueError(f"z must have shape (K, n+1) = ({len(self.log_r)}, "
+                             f"{self.grid.n + 1}), got {self.z.shape}")
+
     @property
     def grid(self) -> Grid:
         return self.log_eta.grid
+
+    @functools.cached_property
+    def argmax_index(self) -> np.ndarray:
+        """Per grid point, the row of ``z`` attaining the maximum (lowest on ties)."""
+        return self.z.argmax(axis=0)
+
+    @functools.cached_property
+    def atoms(self) -> list:
+        """The retained atoms as ``SpectralAtom`` objects, in generation order."""
+        grid = self.grid
+        drift = self.vol.cumulative_drift(grid)
+        return [SpectralAtom(log_r=lr, log_v_path=GridPath(grid, z - lr - drift),
+                             z_path=GridPath(grid, z))
+                for lr, z in zip(self.log_r.tolist(), self.z)]
 
 
 class TruncationError(RuntimeError):
@@ -337,15 +367,21 @@ def sample_brown_resnick(h: VolatilitySpec, grid: Grid, rng_stream,
     raising the budget) extends the same draw sequence: the common prefix of
     atoms is bit-identical, which is what the truncation audit relies on.
     The block size is fixed because it sets the draw order.  Two buffers of
-    64 x (n+1) doubles are allocated once per call and reused per block.
+    64 x (n+1) doubles are allocated once per call and reused per block;
+    their size is capped at ``_MAX_BLOCK_BYTES``, and a larger n is rejected
+    before any draw.
     """
     if not (np.isfinite(epsilon) and 0.0 < epsilon <= 0.01):
         raise ValueError(f"epsilon must lie in (0, 0.01], got {epsilon}")
-    if retain_margin <= 0:
-        raise ValueError(f"retain_margin must be positive, got {retain_margin}")
+    if not (np.isfinite(retain_margin) and retain_margin > 0):
+        raise ValueError(f"retain_margin must be positive and finite, got {retain_margin}")
     if not (isinstance(atom_budget, (int, np.integer)) and atom_budget >= 1):
         raise ValueError(f"atom_budget must be an integer >= 1, got {atom_budget!r}")
     n = grid.n
+    block_bytes = 2 * _BLOCK_SIZE * (n + 1) * 8
+    if block_bytes > _MAX_BLOCK_BYTES:
+        raise ValueError(f"n={n} needs {block_bytes} bytes of block buffers, above "
+                         f"the cap of {_MAX_BLOCK_BYTES} bytes")
     step_sd = h.step_standard_deviations(grid)
     total_var = float(h.variance_antiderivative(1.0))
     q_eps = math.sqrt(total_var) * float(-ndtri(epsilon / 2.0))
@@ -353,7 +389,7 @@ def sample_brown_resnick(h: VolatilitySpec, grid: Grid, rng_stream,
     normals = np.empty((_BLOCK_SIZE, n))
     z_block = np.empty((_BLOCK_SIZE, n + 1))
     run_max = np.full(n + 1, -np.inf)
-    retained = []                      # (log_r, z path)
+    kept_log_r, kept_z = [], []
     gamma_tail = 0.0
     generated = 0
     stop_margin = -np.inf
@@ -374,24 +410,22 @@ def sample_brown_resnick(h: VolatilitySpec, grid: Grid, rng_stream,
         run_max = np.where(block_best > run_max, block_best, run_max)
         current_min = float(run_max.min())
         # run_max only grows, and rounding is monotone: the peak prefilter is sound
-        for b in np.flatnonzero(z_block.max(axis=1) - current_min > -retain_margin):
-            if np.max(z_block[b] - run_max) > -retain_margin:
-                retained.append((float(log_r[b]), z_block[b].copy()))
+        cand = np.flatnonzero(z_block.max(axis=1) - current_min > -retain_margin)
+        cand = cand[(z_block[cand] - run_max).max(axis=1) > -retain_margin]
+        kept_log_r.append(log_r[cand])
+        kept_z.append(z_block[cand])
         generated += _BLOCK_SIZE
         stop_margin = current_min - (float(log_r[-1]) + q_eps)
         stopped = stop_margin > 0.0
 
-    drift = h.cumulative_drift(grid)
-    atoms = [SpectralAtom(log_r=lr, log_v_path=GridPath(grid, z - lr - drift),
-                          z_path=GridPath(grid, z))
-             for lr, z in retained if np.max(z - run_max) > -retain_margin]
-    # the first generated atom attaining the maximum is always kept
-    argmax_index = np.stack([a.z_path.values for a in atoms]).argmax(axis=0)
-
+    # the first generated atom attaining the maximum is always kept, so the
+    # arrays are never empty
+    z = np.concatenate(kept_z)
+    keep = (z - run_max).max(axis=1) > -retain_margin
     path = MaxStablePath(
-        log_eta=GridPath(grid, run_max - drift),
-        atoms=atoms,
-        argmax_index=argmax_index,
+        log_eta=GridPath(grid, run_max - h.cumulative_drift(grid)),
+        log_r=np.concatenate(kept_log_r)[keep],
+        z=z[keep],
         truncation_diag=TruncationDiagnostics(
             atoms_generated=generated,
             stop_rule_margin=float(stop_margin),

@@ -120,8 +120,7 @@ def clt_bias_functional(ms_path: MaxStablePath, p: int, t: float,
     p = _check_order(p)
     if halfwidth <= 0:
         raise ValueError(f"halfwidth must be positive, got {halfwidth}")
-    atoms = ms_path.atoms
-    if len(atoms) < 2:
+    if ms_path.z.shape[0] < 2:
         raise ValueError("bias functional needs at least 2 retained atoms")
     grid = ms_path.grid
     n = grid.n
@@ -137,7 +136,7 @@ def clt_bias_functional(ms_path: MaxStablePath, p: int, t: float,
     if m <= 1:
         return 0.0
 
-    Z = np.stack([a.z_path.values[: m - 1] for a in atoms])
+    Z = ms_path.z[:, : m - 1]
     K = Z.shape[0]
     top = np.argpartition(Z, range(max(K - 3, 0), K), axis=0)[-3:]
     v = np.take_along_axis(Z, top, axis=0)        # v[-1] >= v[-2] >= v[-3]

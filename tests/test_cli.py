@@ -23,9 +23,11 @@ def test_unknown_flag_rejected(capsys):
 
 def test_bad_config_value_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"experiment": "lln", "model": "br", "n": 100,
-                               "reps": 4, "sigma": 1.0}))
-    assert run_cli("verify", "--config", str(cfg)) == 2
+    for field, bad in (("n", 100), ("n", 256.0), ("reps", 2.5), ("p", 1.5)):
+        cfg.write_text(json.dumps({"experiment": "lln", "model": "br", "n": 256,
+                                   "reps": 4, "sigma": 1.0, field: bad}))
+        assert run_cli("verify", "--config", str(cfg)) == 2
+        assert field in capsys.readouterr().err
 
 
 def test_unknown_config_field_exits_2(tmp_path, capsys):

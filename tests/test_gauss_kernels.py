@@ -217,10 +217,11 @@ def test_bias_integral_vs_moment_extrapolation():
 
 def test_bias_integral_equals_half_lambda():
     # two independent quadrature routes to the same constant: the kernel
-    # integral over w and the Mills-ratio moment integral
-    for p in (1, 2):
-        lam = gk.lambda_integral(p, 1.0, CFG)
-        assert abs(gk.bias_integral(p, CFG) - 0.5 * lam) < 1e-7
+    # integral over w and the Mills-ratio moment integral.  The ratio is
+    # pinned to 1e-12 so that lambda(phi_{p,1}) may be derived as 2 J_p.
+    for p in (1, 2, 3, 4):
+        ratio = gk.lambda_integral(p, 1.0, CFG) / gk.bias_integral(p, CFG)
+        assert abs(ratio - 2.0) <= 2.0 * 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,10 @@ def test_config_validation():
         ExperimentConfig(**{**good, "t_eval": 0.0})
     with pytest.raises(ValueError):
         ExperimentConfig(**{**good, "h_spec": {"form": "constant", "sigma": 1.0}})
+    for field, bad in (("n", 256.0), ("reps", 2.5), ("p", 1.5), ("window", 1.5),
+                       ("master_seed", True), ("p", "2")):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            ExperimentConfig(**{**good, field: bad})
     cfg = ExperimentConfig(**{**good, "sigma": None,
                               "h_spec": {"form": "power_law", "a": 1.0, "b": 1.0,
                                          "gamma": 1.0}})
@@ -193,7 +197,10 @@ def test_run_experiment_dispatch():
      "72100afec8b96a0c555c9066d63d2658a358404db980743d0429dbb5842cba73"),
     (dict(experiment="frechet", sigma=1.0, n=256), "2",
      "3dd3115198143363fc160fd982cb2c46e3458a8342f4093038b5752fca74738a"),
-], ids=("clt-sigma1", "clt-sigma2", "clt-power", "frechet-pooled"))
+    # the synthetic two-atom path's route_gap lands in the aggregate
+    (dict(experiment="clt", model="max2bm"), "1",
+     "bef08edff9f5c1af310d4d93ac9c5df45954f32f88c84b81ae1ab09d4954ddda"),
+], ids=("clt-sigma1", "clt-sigma2", "clt-power", "frechet-pooled", "clt-max2bm"))
 def test_report_golden_digests(monkeypatch, case, workers, digest):
     # SHA-256 of the canonical report; any change to a drawn number, a
     # statistic or its summation order shows up here

@@ -7,6 +7,8 @@ import pytest
 from maxstable_pv.path_sim import (
     Grid,
     GridPath,
+    MaxStablePath,
+    TruncationDiagnostics,
     TruncationError,
     VolatilitySpec,
     replicate_rng,
@@ -26,6 +28,12 @@ def test_grid_and_path_validation():
         GridPath(g, np.zeros(5))
     with pytest.raises(ValueError):
         GridPath(g, np.full(9, np.inf))
+    # retained-atom arrays must be (K,) and (K, n+1)
+    diag = TruncationDiagnostics(64, 1.0, 1e-3)
+    vol = VolatilitySpec.constant(1.0)
+    for log_r, z in ((np.zeros(2), np.zeros((2, 8))), (np.zeros(1), np.zeros((2, 9)))):
+        with pytest.raises(ValueError, match="z must have shape"):
+            MaxStablePath(GridPath(g, np.zeros(9)), log_r, z, diag, vol, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +186,24 @@ def test_br_atom_budget_validation():
             sample_brown_resnick(vol, grid, replicate_rng(0, 0), 1e-3, atom_budget=budget)
 
 
+def test_br_retain_margin_validation():
+    grid = Grid(16)
+    vol = VolatilitySpec.constant(1.0)
+    for margin in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="retain_margin"):
+            sample_brown_resnick(vol, grid, replicate_rng(0, 0), 1e-3, retain_margin=margin)
+
+
+def test_br_block_memory_guard():
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"rng.{name} touched before the memory check")
+
+    vol = VolatilitySpec.constant(1.0)
+    with pytest.raises(ValueError, match=r"n=524288 needs 536871936 bytes"):
+        sample_brown_resnick(vol, Grid(2 ** 19), NoDraws(), 1e-3)
+
+
 def test_br_frechet_marginal():
     grid = Grid(64)
     vol = VolatilitySpec.constant(1.0)
@@ -204,6 +230,9 @@ def test_br_bookkeeping_identity():
     ms = sample_brown_resnick(vol, grid, replicate_rng(29, 0), 1e-3)
     drift = vol.cumulative_drift(grid)
     z = np.stack([a.z_path.values for a in ms.atoms])
+    # the atoms are built from the retained arrays, row for row
+    assert np.array_equal(z, ms.z)
+    assert np.array_equal([a.log_r for a in ms.atoms], ms.log_r)
     recon = z.max(axis=0) - drift
     assert np.array_equal(recon, ms.log_eta.values)
     # argmax consistent with the max, ties broken by lowest index

@@ -10,7 +10,6 @@ from maxstable_pv.path_sim import (
     Grid,
     GridPath,
     MaxStablePath,
-    SpectralAtom,
     TruncationDiagnostics,
     VolatilitySpec,
     replicate_rng,
@@ -29,14 +28,11 @@ def _linear_path(grid: Grid, c: float) -> GridPath:
 def _two_atom_path(grid: Grid, z1: np.ndarray, z2: np.ndarray,
                    vol=None, margin=math.inf) -> MaxStablePath:
     vol = vol or VolatilitySpec.constant(1.0)
-    drift = vol.cumulative_drift(grid)
-    atoms = [SpectralAtom(0.0, GridPath(grid, z - drift), GridPath(grid, z))
-             for z in (z1, z2)]
     zmat = np.stack([z1, z2])
     return MaxStablePath(
-        log_eta=GridPath(grid, zmat.max(axis=0) - drift),
-        atoms=atoms,
-        argmax_index=zmat.argmax(axis=0).astype(np.int64),
+        log_eta=GridPath(grid, zmat.max(axis=0) - vol.cumulative_drift(grid)),
+        log_r=np.zeros(2),
+        z=zmat,
         truncation_diag=TruncationDiagnostics(2, math.inf, 1e-3),
         vol=vol,
         retain_margin=margin,
@@ -130,7 +126,7 @@ def test_local_time_estimators_hit_known_mean():
 def test_bias_functional_needs_two_atoms():
     grid = Grid(64)
     path = _two_atom_path(grid, np.zeros(65), np.ones(65))
-    lone = MaxStablePath(path.log_eta, path.atoms[:1], path.argmax_index,
+    lone = MaxStablePath(path.log_eta, path.log_r[:1], path.z[:1],
                          path.truncation_diag, path.vol, path.retain_margin)
     with pytest.raises(ValueError):
         pv_stats.clt_bias_functional(lone, 2, 1.0, 1.0)
@@ -196,14 +192,11 @@ def test_bias_functional_matches_pair_loop(data, k, t, vol):
     grid = Grid(16)
     levels = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=17, max_size=17),
                                 min_size=k, max_size=k))
-    z = [np.asarray(row, dtype=float) / 8.0 for row in levels]
-    drift = vol.cumulative_drift(grid)
-    atoms = [SpectralAtom(0.0, GridPath(grid, zi - drift), GridPath(grid, zi)) for zi in z]
-    zmat = np.stack(z)
+    zmat = np.asarray(levels, dtype=float) / 8.0
     ms = MaxStablePath(
-        log_eta=GridPath(grid, zmat.max(axis=0) - drift),
-        atoms=atoms,
-        argmax_index=zmat.argmax(axis=0),
+        log_eta=GridPath(grid, zmat.max(axis=0) - vol.cumulative_drift(grid)),
+        log_r=np.zeros(k),
+        z=zmat,
         truncation_diag=TruncationDiagnostics(64, math.inf, 1e-3),
         vol=vol,
         retain_margin=math.inf,
@@ -217,7 +210,7 @@ def test_bias_functional_matches_pair_loop_on_sampled_paths(vol):
     grid = Grid(512)
     for rep in range(3):
         ms = sample_brown_resnick(vol, grid, replicate_rng(6, 10 + rep), 1e-3)
-        if len(ms.atoms) < 2:
+        if ms.z.shape[0] < 2:
             continue
         for t in (0.5, 1.0):
             assert pv_stats.clt_bias_functional(ms, 2, t, 1.0) == \
