@@ -27,6 +27,14 @@ The kept atoms are stored as two arrays, their log weights ``log_r`` and
 their Z paths ``z``; the ``SpectralAtom`` objects and the argmax index are
 built from them on first read, so statistics that only need the path pay
 nothing for them.
+
+Atoms are generated in blocks of 64, and each block is drawn and processed
+in row tiles of at most ``_TILE_ELEMS`` normals.  Whole-block buffers were
+2 x 64 x (n+1) doubles, 4 MiB at n = 4096: the allocator returns buffers
+that large to the system when a call ends, so every call faulted them in
+again.  Tile buffers stay near 1 MiB at every n up to 2^16.  The tile height
+changes no number: the normals of a block fill its tiles in the same stream
+order, and the retention tests stay exact (see ``sample_brown_resnick``).
 """
 
 from __future__ import annotations
@@ -53,7 +61,10 @@ __all__ = [
 ]
 
 _BLOCK_SIZE = 64        # atoms per block; fixes the draw order of sample_brown_resnick
-_MAX_BLOCK_BYTES = 512 * 2 ** 20    # cap on the two block buffers; allows n up to 2^19 - 1
+_TILE_ELEMS = 2 ** 16   # normals per row tile of a block; sets buffer sizes, never a number
+# cap on the memory of one block whose 64 rows are all kept: their copies plus
+# as much again when the kept rows are concatenated; allows n up to 2^19 - 1
+_MAX_BLOCK_BYTES = 512 * 2 ** 20
 
 
 def replicate_rng(master_seed: int, replicate_index: int) -> np.random.Generator:
@@ -357,6 +368,11 @@ class TruncationError(RuntimeError):
         super().__init__(message)
         self.partial = partial
 
+    def __reduce__(self):
+        # pickling must carry the partial path, or a truncation in a pool
+        # worker cannot be rebuilt in the parent
+        return type(self), (self.args[0], self.partial)
+
 
 def sample_brown_resnick(h: VolatilitySpec, grid: Grid, rng_stream,
                          epsilon: float, *, atom_budget: int = 1_000_000,
@@ -366,10 +382,22 @@ def sample_brown_resnick(h: VolatilitySpec, grid: Grid, rng_stream,
     Atoms are generated in blocks of 64 so that shrinking epsilon (or
     raising the budget) extends the same draw sequence: the common prefix of
     atoms is bit-identical, which is what the truncation audit relies on.
-    The block size is fixed because it sets the draw order.  Two buffers of
-    64 x (n+1) doubles are allocated once per call and reused per block;
-    their size is capped at ``_MAX_BLOCK_BYTES``, and a larger n is rejected
-    before any draw.
+    The block size is fixed because it sets the draw order: a block's 64
+    exponential gaps, then its 64 x n normals in row-major order.
+
+    The normals are drawn and processed ``rows = min(64, _TILE_ELEMS // n)``
+    rows at a time (at least one) in two buffers of rows x n and
+    rows x (n+1) doubles, allocated once per call.  Each tile folds its
+    column maxima into the running maximum and keeps the rows that come
+    within ``retain_margin`` of that partial maximum.  The running maximum
+    only grows and rounding is monotone, so each tile keeps a superset of
+    what the final test keeps; that final test, against the final running
+    maximum, makes the kept set independent of the tile height.  The stop
+    rule reads the running maximum at the end of a block, as before.
+
+    A block whose 64 rows are all kept needs 2 x 64 x (n+1) doubles; that is
+    capped at ``_MAX_BLOCK_BYTES``, and a larger n is rejected before any
+    draw.
     """
     if not (np.isfinite(epsilon) and 0.0 < epsilon <= 0.01):
         raise ValueError(f"epsilon must lie in (0, 0.01], got {epsilon}")
@@ -380,14 +408,15 @@ def sample_brown_resnick(h: VolatilitySpec, grid: Grid, rng_stream,
     n = grid.n
     block_bytes = 2 * _BLOCK_SIZE * (n + 1) * 8
     if block_bytes > _MAX_BLOCK_BYTES:
-        raise ValueError(f"n={n} needs {block_bytes} bytes of block buffers, above "
+        raise ValueError(f"n={n} needs {block_bytes} bytes for one fully kept block, above "
                          f"the cap of {_MAX_BLOCK_BYTES} bytes")
     step_sd = h.step_standard_deviations(grid)
     total_var = float(h.variance_antiderivative(1.0))
     q_eps = math.sqrt(total_var) * float(-ndtri(epsilon / 2.0))
 
-    normals = np.empty((_BLOCK_SIZE, n))
-    z_block = np.empty((_BLOCK_SIZE, n + 1))
+    rows = max(1, min(_BLOCK_SIZE, _TILE_ELEMS // n))
+    normals = np.empty((rows, n))
+    z_tile = np.empty((rows, n + 1))
     run_max = np.full(n + 1, -np.inf)
     kept_log_r, kept_z = [], []
     gamma_tail = 0.0
@@ -397,23 +426,28 @@ def sample_brown_resnick(h: VolatilitySpec, grid: Grid, rng_stream,
 
     while not stopped and generated < atom_budget:
         gaps = rng_stream.standard_exponential(_BLOCK_SIZE)
-        rng_stream.standard_normal(out=normals)
         gammas = gamma_tail + np.cumsum(gaps)
         gamma_tail = float(gammas[-1])
         log_r = -np.log(gammas)
-        normals *= step_sd
-        z_block[:, 0] = 0.0
-        np.cumsum(normals, axis=1, out=z_block[:, 1:])
-        z_block += log_r[:, None]
+        for lo in range(0, _BLOCK_SIZE, rows):
+            tile_log_r = log_r[lo:lo + rows]
+            t = len(tile_log_r)
+            nt, zt = normals[:t], z_tile[:t]
+            rng_stream.standard_normal(out=nt)
+            nt *= step_sd
+            zt[:, 0] = 0.0
+            np.cumsum(nt, axis=1, out=zt[:, 1:])
+            zt += tile_log_r[:, None]
 
-        block_best = z_block.max(axis=0)
-        run_max = np.where(block_best > run_max, block_best, run_max)
-        current_min = float(run_max.min())
-        # run_max only grows, and rounding is monotone: the peak prefilter is sound
-        cand = np.flatnonzero(z_block.max(axis=1) - current_min > -retain_margin)
-        cand = cand[(z_block[cand] - run_max).max(axis=1) > -retain_margin]
-        kept_log_r.append(log_r[cand])
-        kept_z.append(z_block[cand])
+            tile_best = zt.max(axis=0)
+            run_max = np.where(tile_best > run_max, tile_best, run_max)
+            current_min = float(run_max.min())
+            # run_max only grows, and rounding is monotone: both tests against
+            # the partial run_max keep a superset of what the final one keeps
+            cand = np.flatnonzero(zt.max(axis=1) - current_min > -retain_margin)
+            cand = cand[(zt[cand] - run_max).max(axis=1) > -retain_margin]
+            kept_log_r.append(tile_log_r[cand])
+            kept_z.append(zt[cand])
         generated += _BLOCK_SIZE
         stop_margin = current_min - (float(log_r[-1]) + q_eps)
         stopped = stop_margin > 0.0

@@ -1,9 +1,16 @@
 import hashlib
 import math
+import multiprocessing
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtri
 
+from maxstable_pv import path_sim
 from maxstable_pv.path_sim import (
     Grid,
     GridPath,
@@ -282,6 +289,31 @@ def test_br_budget_exhaustion():
     assert np.all(np.isfinite(partial.log_eta.values))
 
 
+def test_truncation_error_pickles_with_its_partial():
+    with pytest.raises(TruncationError) as exc:
+        sample_brown_resnick(VolatilitySpec.constant(1.0), Grid(64), replicate_rng(41, 0),
+                             1e-9, atom_budget=32)
+    copy = pickle.loads(pickle.dumps(exc.value))
+    assert type(copy) is TruncationError
+    assert str(copy) == str(exc.value)
+    assert _path_digest(copy.partial) == _path_digest(exc.value.partial)
+
+
+def test_truncation_error_crosses_a_process_pool():
+    # a worker's truncation must reach the parent as TruncationError, not
+    # as a BrokenProcessPool from a failed unpickle
+    vol, grid = VolatilitySpec.constant(1.0), Grid(64)
+    with pytest.raises(TruncationError) as local:
+        sample_brown_resnick(vol, grid, replicate_rng(41, 0), 1e-9, atom_budget=32)
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+        fut = pool.submit(sample_brown_resnick, vol, grid, replicate_rng(41, 0), 1e-9,
+                          atom_budget=32)
+        with pytest.raises(TruncationError) as remote:
+            fut.result(timeout=120)
+    assert _path_digest(remote.value.partial) == _path_digest(local.value.partial)
+
+
 # SHA-256 of every output byte of sample_brown_resnick, pinned so that a
 # rewrite of the sampler that must keep the draw order is checked to keep
 # every number.  The digests hold for numpy 2.4 / scipy 1.17 on x86-64; a
@@ -326,6 +358,14 @@ _GOLDEN = [
      "bd5c92665206b6beb55f0b89a6c5aa5441e6f70adf32ef4e0b55a69dfead06d6"),
     ("sigma2", 256, 12, 3, 1e-6, 100, True,
      "ef7bc4581f3b076d6502b8a6e64af87422cdaf27769ace5c2409c9bb871d9d0b"),
+    # large n, where a block is drawn and processed in several row tiles
+    ("sigma2", 2 ** 14, 13, 2, 1e-3, 10 ** 6, False,
+     "85ac736c19eee95915a3861af39bcabd8050abc058d790777cb80b1b8b650d12"),
+    # 3 rows per tile: 64 is not a multiple, so each block ends in a 1-row tile
+    ("power", 20000, 14, 1, 1e-3, 10 ** 6, False,
+     "dea83e28cbb7c1cc6f4698db6bf6336fb7834c614dc8966e17ef3221f43ff613"),
+    ("sigma1", 8192, 18, 4, 1e-9, 192, True,
+     "f18ea704dc5d8ddcf75d5c809da5f5ad4a7c8ffce7ecbf2f01af22f9f3039d85"),
 ]
 
 
@@ -353,6 +393,91 @@ def test_br_golden_outputs(vol, n, seed, rep, eps, budget, truncated, digest):
         ms, was_truncated = exc.partial, True
     assert was_truncated == truncated
     assert _path_digest(ms) == digest
+
+
+def _whole_block_oracle(h, grid, rng_stream, epsilon, atom_budget, retain_margin):
+    """The sampler's loop as it was before row tiles: each 64-atom block is
+    drawn and processed whole.  Returns (path, truncated)."""
+    n = grid.n
+    step_sd = h.step_standard_deviations(grid)
+    total_var = float(h.variance_antiderivative(1.0))
+    q_eps = math.sqrt(total_var) * float(-ndtri(epsilon / 2.0))
+
+    normals = np.empty((64, n))
+    z_block = np.empty((64, n + 1))
+    run_max = np.full(n + 1, -np.inf)
+    kept_log_r, kept_z = [], []
+    gamma_tail = 0.0
+    generated = 0
+    stop_margin = -np.inf
+    stopped = False
+
+    while not stopped and generated < atom_budget:
+        gaps = rng_stream.standard_exponential(64)
+        rng_stream.standard_normal(out=normals)
+        gammas = gamma_tail + np.cumsum(gaps)
+        gamma_tail = float(gammas[-1])
+        log_r = -np.log(gammas)
+        normals *= step_sd
+        z_block[:, 0] = 0.0
+        np.cumsum(normals, axis=1, out=z_block[:, 1:])
+        z_block += log_r[:, None]
+
+        block_best = z_block.max(axis=0)
+        run_max = np.where(block_best > run_max, block_best, run_max)
+        current_min = float(run_max.min())
+        cand = np.flatnonzero(z_block.max(axis=1) - current_min > -retain_margin)
+        cand = cand[(z_block[cand] - run_max).max(axis=1) > -retain_margin]
+        kept_log_r.append(log_r[cand])
+        kept_z.append(z_block[cand])
+        generated += 64
+        stop_margin = current_min - (float(log_r[-1]) + q_eps)
+        stopped = stop_margin > 0.0
+
+    z = np.concatenate(kept_z)
+    keep = (z - run_max).max(axis=1) > -retain_margin
+    path = MaxStablePath(
+        log_eta=GridPath(grid, run_max - h.cumulative_drift(grid)),
+        log_r=np.concatenate(kept_log_r)[keep],
+        z=z[keep],
+        truncation_diag=TruncationDiagnostics(
+            atoms_generated=generated,
+            stop_rule_margin=float(stop_margin),
+            epsilon=float(epsilon),
+        ),
+        vol=h,
+        retain_margin=float(retain_margin),
+    )
+    return path, not stopped
+
+
+@settings(max_examples=200, deadline=None)
+@given(vol=st.sampled_from(sorted(_GOLDEN_VOLS)), n=st.integers(2, 600),
+       tile_log2=st.integers(6, 12), seed=st.integers(0, 2 ** 32 - 1),
+       rep=st.integers(0, 1000),
+       margin=st.sampled_from((0.25, 1.0, 3.0)) | st.floats(0.05, 5.0),
+       eps=st.sampled_from((1e-2, 1e-3, 1e-4, 1e-5)),
+       budget=st.integers(1, 400) | st.just(10 ** 6))
+def test_br_row_tiles_match_whole_blocks(vol, n, tile_log2, seed, rep, margin, eps, budget):
+    # the tile height must change no drawn number, kept atom or diagnostic
+    h, grid = _GOLDEN_VOLS[vol], Grid(n)
+    want, want_truncated = _whole_block_oracle(h, grid, replicate_rng(seed, rep), eps,
+                                               budget, margin)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(path_sim, "_TILE_ELEMS", 2 ** tile_log2)
+        try:
+            got = sample_brown_resnick(h, grid, replicate_rng(seed, rep), eps,
+                                       atom_budget=budget, retain_margin=margin)
+            got_truncated = False
+        except TruncationError as exc:
+            got, got_truncated = exc.partial, True
+    assert got_truncated == want_truncated
+    assert got.log_eta.values.tobytes() == want.log_eta.values.tobytes()
+    assert got.log_r.tobytes() == want.log_r.tobytes()
+    assert got.z.tobytes() == want.z.tobytes()
+    assert got.truncation_diag.atoms_generated == want.truncation_diag.atoms_generated
+    assert (got.truncation_diag.stop_rule_margin.hex()
+            == want.truncation_diag.stop_rule_margin.hex())
 
 
 def test_replicate_streams_are_disjoint_and_stable():
