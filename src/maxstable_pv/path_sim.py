@@ -29,12 +29,13 @@ built from them on first read, so statistics that only need the path pay
 nothing for them.
 
 Atoms are generated in blocks of 64, and each block is drawn and processed
-in row tiles of at most ``_TILE_ELEMS`` normals.  Whole-block buffers were
-2 x 64 x (n+1) doubles, 4 MiB at n = 4096: the allocator returns buffers
-that large to the system when a call ends, so every call faulted them in
-again.  Tile buffers stay near 1 MiB at every n up to 2^16.  The tile height
-changes no number: the normals of a block fill its tiles in the same stream
-order, and the retention tests stay exact (see ``sample_brown_resnick``).
+in row tiles of at most ``_TILE_ELEMS`` normals.  Buffers for a whole block,
+2 x 64 x (n+1) doubles (4 MiB at n = 4096), are large enough that the
+allocator returns them to the system when a call ends, so each call would
+fault them in again; tile buffers stay near 1 MiB at every n up to 2^16.
+The tile height changes no number: the normals of a block fill its tiles in
+the same stream order, and the retention tests stay exact (see
+``sample_brown_resnick``).
 """
 
 from __future__ import annotations
@@ -393,7 +394,7 @@ def sample_brown_resnick(h: VolatilitySpec, grid: Grid, rng_stream,
     only grows and rounding is monotone, so each tile keeps a superset of
     what the final test keeps; that final test, against the final running
     maximum, makes the kept set independent of the tile height.  The stop
-    rule reads the running maximum at the end of a block, as before.
+    rule reads the running maximum at the end of a block.
 
     A block whose 64 rows are all kept needs 2 x 64 x (n+1) doubles; that is
     capped at ``_MAX_BLOCK_BYTES``, and a larger n is rejected before any

@@ -396,8 +396,8 @@ def test_br_golden_outputs(vol, n, seed, rep, eps, budget, truncated, digest):
 
 
 def _whole_block_oracle(h, grid, rng_stream, epsilon, atom_budget, retain_margin):
-    """The sampler's loop as it was before row tiles: each 64-atom block is
-    drawn and processed whole.  Returns (path, truncated)."""
+    """Reference for the sampler's row tiles: the same loop with each 64-atom
+    block drawn and processed whole.  Returns (path, truncated)."""
     n = grid.n
     step_sd = h.step_standard_deviations(grid)
     total_var = float(h.variance_antiderivative(1.0))
