@@ -10,7 +10,6 @@ from .gauss_kernels import (
     phi_kernel,
     phi2_kernel,
     psi,
-    psi_sigma,
 )
 from .increment_law import (
     IncrementLawParams,

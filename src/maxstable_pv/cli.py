@@ -14,6 +14,7 @@ in-process results bit for bit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -39,8 +40,14 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-def _out_stream(path):
-    return open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
+@contextlib.contextmanager
+def _output(path):
+    """The --out file, opened for text and closed on exit, or stdout if no path."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        yield fh
 
 
 def _load_h_spec(path: str) -> VolatilitySpec:
@@ -62,10 +69,8 @@ def _load_h_spec(path: str) -> VolatilitySpec:
 def _cmd_tabulate_kernels(args) -> int:
     q = QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
     table = KernelTable.build(args.p, args.sigma, q, points=args.points)
-    if args.out:
-        table.to_csv(args.out)
-    else:
-        table.to_csv(sys.stdout)
+    with _output(args.out) as fh:
+        table.to_csv(fh)
     return EXIT_OK
 
 
@@ -75,24 +80,19 @@ def _cmd_tabulate_increment_law(args) -> int:
     marg = increment_law.marginal_cdf(u, params)
     cond = increment_law.cond_cdf(u, 1.0, params)
     moment = increment_law.exact_abs_moment(args.p, params)
-    fh = _out_stream(args.out)
-    try:
+    with _output(args.out) as fh:
         fh.write(f"# sigma={args.sigma!r} n={args.n} p={args.p} "
                  f"exact_abs_moment={moment!r}\n")
         fh.write("u,marginal_cdf,cond_cdf_eta1\n")
         for row in zip(u, marg, cond):
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
     grid = Grid(args.n)
-    fh = _out_stream(args.out)
-    writer = csv.writer(fh)
-    try:
+    with _output(args.out) as fh:
+        writer = csv.writer(fh)
         if args.model == "br":
             vol = _load_h_spec(args.h_spec) if args.h_spec else VolatilitySpec.constant(args.sigma)
             writer.writerow(["replicate", "i", "t", "value", "argmax_atom"])
@@ -109,9 +109,6 @@ def _cmd_simulate(args) -> int:
                 mx, _ = sample_max_two_bm(grid, rng)
                 for i, (t, v) in enumerate(zip(grid.times, mx.values)):
                     writer.writerow([r, i, repr(float(t)), repr(float(v))])
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return EXIT_OK
 
 
@@ -130,31 +127,23 @@ def _read_paths_csv(path: str):
 
 
 def _cmd_powervar(args) -> int:
-    fh = _out_stream(args.out)
-    writer = csv.writer(fh)
-    writer.writerow(["replicate", "t", "B"])
-    try:
+    with _output(args.out) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["replicate", "t", "B"])
         for rep, path in _read_paths_csv(args.infile):
             b = pv_stats.power_variation(path, args.p, args.t)
             writer.writerow([rep, repr(float(args.t)), repr(b)])
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return EXIT_OK
 
 
 def _cmd_estimate_h(args) -> int:
-    fh = _out_stream(args.out)
-    writer = csv.writer(fh)
-    writer.writerow(["replicate", "t", "H_hat"])
-    try:
+    with _output(args.out) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["replicate", "t", "H_hat"])
         for rep, path in _read_paths_csv(args.infile):
             h_hat = pv_stats.estimate_h(path, args.p, args.window)
             for t, v in zip(path.grid.times, h_hat.values):
                 writer.writerow([rep, repr(float(t)), repr(float(v))])
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return EXIT_OK
 
 
@@ -176,11 +165,8 @@ def _cmd_verify(args) -> int:
     config = mc_harness.ExperimentConfig.from_dict(cfg_dict)
     report = mc_harness.run_experiment(config)
     payload = report.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    with _output(args.out) as fh:
+        fh.write(payload + "\n")
     for v in report.verdicts:
         status = "PASS" if v.passed else "FAIL"
         print(f"[{status}] {v.name}: measured={v.measured:.6g} "

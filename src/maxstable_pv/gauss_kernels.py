@@ -38,12 +38,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erfcx, ndtr
 
-from .quadrature import QuadratureConfig, QuadResult, adaptive_gauss_kronrod
+from .quadrature import QuadratureConfig, adaptive_gauss_kronrod
 
 __all__ = [
     "abs_moment",
     "psi",
-    "psi_sigma",
     "phi_kernel",
     "phi2_kernel",
     "lambda_integral",
@@ -76,12 +75,6 @@ def psi(p: int, x, y, w):
     b2 = np.where((0 <= w) & (w <= d), np.abs(x - w) ** p - np.abs(y) ** p, 0.0)
     out = b1 + b2
     return float(out) if out.ndim == 0 else out
-
-
-def psi_sigma(p: int, sigma: float, x, y, w):
-    """Rescaled kernel psi_p(sigma x, sigma y, w)."""
-    _check_sigma(sigma)
-    return psi(p, sigma * np.asarray(x, float), sigma * np.asarray(y, float), w)
 
 
 def _check_order(p) -> int:
@@ -184,7 +177,7 @@ def _branch_params(p: int, sigma: float, w, u):
 
 
 def _phi_pointwise(p: int, sigma: float, w: np.ndarray, squared: bool,
-                   cfg: QuadratureConfig) -> QuadResult:
+                   cfg: QuadratureConfig) -> np.ndarray:
     """Vector of kernel values at the abscissae ``w`` with a shared error budget."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
     s = sigma / _SQRT2
@@ -206,14 +199,9 @@ def _phi_pointwise(p: int, sigma: float, w: np.ndarray, squared: bool,
             inner = _abs_noncentral_moment(t1, p) - _abs_noncentral_moment(t2, p)
         return _npdf(u) * (s ** (2 * p if squared else p)) * inner * span
 
-    res = adaptive_gauss_kronrod(integrand, 0.0, 1.0, cfg)
-    value = np.atleast_1d(res.value)
-    error = np.atleast_1d(res.error)
+    value = np.atleast_1d(adaptive_gauss_kronrod(integrand, 0.0, 1.0, cfg).value)
     # at w = 0 both branches contribute; the two half-plane integrals coincide
-    at_zero = w == 0.0
-    value = np.where(at_zero, 2.0 * value, value)
-    error = np.where(at_zero, 2.0 * error, error)
-    return QuadResult(value, error, res.panels)
+    return np.where(w == 0.0, 2.0 * value, value)
 
 
 def phi_kernel(p: int, sigma: float, w: float, q: QuadratureConfig | None = None) -> float:
@@ -221,8 +209,7 @@ def phi_kernel(p: int, sigma: float, w: float, q: QuadratureConfig | None = None
     p = _check_order(p)
     sigma = _check_sigma(sigma)
     cfg = q or QuadratureConfig()
-    res = _phi_pointwise(p, sigma, np.asarray([w]), squared=False, cfg=cfg)
-    return float(np.atleast_1d(res.value)[0])
+    return float(_phi_pointwise(p, sigma, np.asarray([w]), squared=False, cfg=cfg)[0])
 
 
 def phi2_kernel(p: int, sigma: float, w: float, q: QuadratureConfig | None = None) -> float:
@@ -230,8 +217,7 @@ def phi2_kernel(p: int, sigma: float, w: float, q: QuadratureConfig | None = Non
     p = _check_order(p)
     sigma = _check_sigma(sigma)
     cfg = q or QuadratureConfig()
-    res = _phi_pointwise(p, sigma, np.asarray([w]), squared=True, cfg=cfg)
-    return float(np.atleast_1d(res.value)[0])
+    return float(_phi_pointwise(p, sigma, np.asarray([w]), squared=True, cfg=cfg)[0])
 
 
 def _support_halfwidth(p: int, sigma: float, squared: bool, cfg: QuadratureConfig) -> float:
@@ -270,8 +256,7 @@ def lambda_integral(p: int, sigma: float, q: QuadratureConfig | None = None,
     half = _support_halfwidth(p, sigma, squared, cfg)
 
     def integrand(w):
-        res = _phi_pointwise(p, sigma, w, squared=squared, cfg=cfg)
-        return np.atleast_1d(res.value)
+        return _phi_pointwise(p, sigma, w, squared=squared, cfg=cfg)
 
     res = adaptive_gauss_kronrod(integrand, -half, half, cfg, breakpoints=(0.0,))
     return float(res.value)
@@ -346,33 +331,25 @@ class KernelTable:
         cfg = q or QuadratureConfig()
         half = _support_halfwidth(p, sigma, squared=False, cfg=cfg)
         w = np.linspace(-half, half, points)
-        phi_v = _phi_pointwise(p, sigma, w, squared=False, cfg=cfg)
-        phi2_v = _phi_pointwise(p, sigma, w, squared=True, cfg=cfg)
         return cls(
             p=p, sigma=sigma, w_grid=w,
-            phi_values=np.asarray(phi_v.value, dtype=float),
-            phi2_values=np.asarray(phi2_v.value, dtype=float),
+            phi_values=_phi_pointwise(p, sigma, w, squared=False, cfg=cfg),
+            phi2_values=_phi_pointwise(p, sigma, w, squared=True, cfg=cfg),
             lambda_phi=lambda_integral(p, sigma, cfg, "phi"),
             lambda_phi2=lambda_integral(p, sigma, cfg, "phi2"),
             config=cfg,
         )
 
-    def to_csv(self, path_or_fh) -> None:
-        header = (
+    def to_csv(self, fh) -> None:
+        """Write the table to the open text handle ``fh``."""
+        fh.write(
             f"# p={self.p} sigma={self.sigma!r} lambda_phi={self.lambda_phi!r} "
             f"lambda_phi2={self.lambda_phi2!r} abs_tol={self.config.abs_tol!r} "
             f"rel_tol={self.config.rel_tol!r}\n"
         )
-        own = isinstance(path_or_fh, (str, bytes)) or hasattr(path_or_fh, "__fspath__")
-        fh = open(path_or_fh, "w", encoding="utf-8") if own else path_or_fh
-        try:
-            fh.write(header)
-            fh.write("w,phi,phi2\n")
-            for w, a, b in zip(self.w_grid, self.phi_values, self.phi2_values):
-                fh.write(f"{float(w)!r},{float(a)!r},{float(b)!r}\n")
-        finally:
-            if own:
-                fh.close()
+        fh.write("w,phi,phi2\n")
+        for w, a, b in zip(self.w_grid, self.phi_values, self.phi2_values):
+            fh.write(f"{float(w)!r},{float(a)!r},{float(b)!r}\n")
 
     @classmethod
     def from_csv(cls, path) -> "KernelTable":

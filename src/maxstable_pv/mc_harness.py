@@ -32,7 +32,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
@@ -66,12 +66,6 @@ __all__ = [
     "EXPERIMENTS",
 ]
 
-_EXPERIMENT_NAMES = (
-    "frechet", "stationarity", "maxstability", "marginal_increment",
-    "moment_bias", "lln", "clt", "estimate_h",
-)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -88,9 +82,9 @@ class ExperimentConfig:
     window: int = 0                 # estimate_h only
 
     def __post_init__(self):
-        if self.experiment not in _EXPERIMENT_NAMES:
+        if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; "
-                             f"choose from {_EXPERIMENT_NAMES}")
+                             f"choose from {tuple(EXPERIMENTS)}")
         if self.model not in ("max2bm", "br"):
             raise ValueError(f"model must be 'max2bm' or 'br', got {self.model!r}")
         for name in ("p", "n", "reps", "window", "master_seed"):
@@ -125,10 +119,15 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class Verdict:
+    """A measured value judged against its threshold; passes iff measured < threshold."""
+
     name: str
     measured: float
     threshold: float
-    passed: bool
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", bool(self.measured < self.threshold))
 
 
 @dataclass(frozen=True)
@@ -226,8 +225,8 @@ def _row_lln(cfg: ExperimentConfig, index: int) -> dict:
 
 def _row_clt(cfg: ExperimentConfig, index: int) -> dict:
     p, t, n = cfg.p, cfg.t_eval, cfg.n
-    lam1 = pv_stats.lambda_phi_unit(p)
     if cfg.model == "max2bm":
+        lam1 = pv_stats.lambda_phi_unit(p)
         grid = Grid(n)
         mx, diff = sample_max_two_bm(grid, replicate_rng(cfg.master_seed, index))
         b_val = pv_stats.power_variation(mx, p, t)
@@ -245,7 +244,7 @@ def _row_clt(cfg: ExperimentConfig, index: int) -> dict:
             vol=VolatilitySpec.constant(1.0),
             retain_margin=math.inf,
         )
-        via_pairs = pv_stats.clt_bias_functional(synthetic, p, t, cfg.halfwidth, lam1)
+        via_pairs = pv_stats.clt_bias_functional(synthetic, p, t, cfg.halfwidth)
         return {"S": s_val, "x": lt, "bhat": bhat, "truncated": 0,
                 "route_gap": abs(via_pairs - bhat)}
     try:
@@ -258,7 +257,7 @@ def _row_clt(cfg: ExperimentConfig, index: int) -> dict:
     b_val = pv_stats.power_variation(ms.log_eta, p, t)
     s_val = math.sqrt(n) * (b_val - target)
     if ms.z.shape[0] >= 2:
-        bhat = pv_stats.clt_bias_functional(ms, p, t, cfg.halfwidth, lam1)
+        bhat = pv_stats.clt_bias_functional(ms, p, t, cfg.halfwidth)
     else:
         # a single atom within the retain margin of the max: no pair can be
         # simultaneously near-tied and on top, so the functional vanishes
@@ -372,7 +371,7 @@ def run_lln(config: ExperimentConfig) -> ExperimentReport:
         "mean_B": mean, "stderr_B": stderr, "target": target,
         "bias_allowance": allowance, "gap": gap, "truncated": truncated,
     }
-    verdicts = [Verdict(f"lln_{config.model}_p{config.p}", gap, threshold, gap < threshold)]
+    verdicts = [Verdict(f"lln_{config.model}_p{config.p}", gap, threshold)]
     return _report(config, {"B": b.tolist()}, aggregate, verdicts, started)
 
 
@@ -419,19 +418,13 @@ def run_clt(config: ExperimentConfig) -> ExperimentReport:
     # remaining diagnostics stay in the aggregate
     slope_tol = 0.10 if config.model == "max2bm" else 0.15
     verdicts = [
-        Verdict(f"clt_{config.model}_resid_var",
-                abs(resid_var - cond_var), 0.10 * cond_var,
-                abs(resid_var - cond_var) < 0.10 * cond_var),
+        Verdict(f"clt_{config.model}_resid_var", abs(resid_var - cond_var), 0.10 * cond_var),
     ]
     if config.model == "max2bm" or config.h_spec is None:
-        verdicts.insert(0, Verdict(
-            f"clt_{config.model}_slope",
-            abs(float(slope) - slope_target), slope_tol * abs(slope_target),
-            abs(float(slope) - slope_target) < slope_tol * abs(slope_target)))
+        verdicts.insert(0, Verdict(f"clt_{config.model}_slope", abs(float(slope) - slope_target),
+                                   slope_tol * abs(slope_target)))
     if config.model == "max2bm":
-        verdicts.append(Verdict(
-            f"clt_{config.model}_ks", ks, 1.36 / math.sqrt(len(s)),
-            ks < 1.36 / math.sqrt(len(s))))
+        verdicts.append(Verdict(f"clt_{config.model}_ks", ks, 1.36 / math.sqrt(len(s))))
     per_rep = {"S": s.tolist(), "x": x.tolist(), "bhat": bhat.tolist()}
     return _report(config, per_rep, aggregate, verdicts, started)
 
@@ -460,11 +453,9 @@ def run_marginal_increment(config: ExperimentConfig) -> ExperimentReport:
         "pooled_se": pooled_se, "frac_nonpositive": frac_neg,
     }
     verdicts = [
-        Verdict("marginal_ks", ks, ks_threshold, ks < ks_threshold),
-        Verdict("marginal_moment", abs(pooled - exact), 4 * pooled_se,
-                abs(pooled - exact) < 4 * pooled_se),
-        Verdict("marginal_sign_symmetry", abs(frac_neg - 0.5), 4 * frac_se,
-                abs(frac_neg - 0.5) < 4 * frac_se),
+        Verdict("marginal_ks", ks, ks_threshold),
+        Verdict("marginal_moment", abs(pooled - exact), 4 * pooled_se),
+        Verdict("marginal_sign_symmetry", abs(frac_neg - 0.5), 4 * frac_se),
     ]
     return _report(config, {"U": u.tolist()}, aggregate, verdicts, started)
 
@@ -505,12 +496,11 @@ def run_distributional_facts(config: ExperimentConfig) -> ExperimentReport:
         "p_eta_below_1": p_below,
     }
     verdicts = [
-        Verdict("frechet_marginal", ks_frechet, one_sample, ks_frechet < one_sample),
-        Verdict("gumbel_log_marginal", ks_gumbel, one_sample, ks_gumbel < one_sample),
-        Verdict("max_stability_k5", ks_maxstab, two_sample, ks_maxstab < two_sample),
-        Verdict("stationarity", ks_station, two_sample, ks_station < two_sample),
-        Verdict("frechet_at_one", abs(p_below - p_target), 4 * p_se,
-                abs(p_below - p_target) < 4 * p_se),
+        Verdict("frechet_marginal", ks_frechet, one_sample),
+        Verdict("gumbel_log_marginal", ks_gumbel, one_sample),
+        Verdict("max_stability_k5", ks_maxstab, two_sample),
+        Verdict("stationarity", ks_station, two_sample),
+        Verdict("frechet_at_one", abs(p_below - p_target), 4 * p_se),
     ]
     per_rep = {"eta_03": eta_03.tolist(), "log_eta_02": _columns(rows, "log_eta_02").tolist(),
                "log_eta_08": _columns(rows, "log_eta_08").tolist(),
@@ -544,7 +534,7 @@ def run_moment_bias(config: ExperimentConfig) -> ExperimentReport:
         "n_ladder": ladder, "scaled_gaps": gaps, "bias_integral_limit": limit,
         "rel_gap_at_1e8": rel_gap,
     }
-    verdicts = [Verdict(f"moment_bias_p{p}", rel_gap, 0.01, rel_gap < 0.01)]
+    verdicts = [Verdict(f"moment_bias_p{p}", rel_gap, 0.01)]
     return _report(config, {}, aggregate, verdicts, started)
 
 
@@ -559,7 +549,7 @@ def run_h_recovery(config: ExperimentConfig) -> ExperimentReport:
     mae = _columns(rows, "mae")
     mean_mae = float(mae.mean())
     aggregate = {"mean_interior_mae": mean_mae}
-    verdicts = [Verdict("h_recovery_mae", mean_mae, 0.1, mean_mae < 0.1)]
+    verdicts = [Verdict("h_recovery_mae", mean_mae, 0.1)]
     return _report(config, {"mae": mae.tolist()}, aggregate, verdicts, started)
 
 

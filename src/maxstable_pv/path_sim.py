@@ -112,17 +112,13 @@ class GridPath:
             raise ValueError("path values must be finite")
         object.__setattr__(self, "values", v)
 
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values)
-
 
 class VolatilitySpec:
     """Deterministic volatility H on [0, 1] with exact integral formulas.
 
     Three forms: constant sigma, power law a + b s^gamma, and a tabulated
-    function with linear interpolation.  The Holder exponent and the bounds
-    (inf H, sup H) are derived at construction; inf H must be positive and
-    the exponent must exceed 1/2.
+    function with linear interpolation.  H must be positive on [0, 1], and
+    the power-law exponent must exceed 1/2.
     """
 
     def __init__(self, kind: str, *, sigma=None, a=None, b=None, gamma=None,
@@ -132,18 +128,14 @@ class VolatilitySpec:
             if not (np.isfinite(sigma) and sigma > 0):
                 raise ValueError(f"constant volatility must be positive, got {sigma}")
             self.sigma = float(sigma)
-            self.holder_exponent = 1.0
-            self.bounds = (self.sigma, self.sigma)
         elif kind == "power_law":
             a, b, gamma = float(a), float(b), float(gamma)
             if gamma <= 0.5:
                 raise ValueError(f"power-law exponent gamma must exceed 1/2, got {gamma}")
             self.a, self.b, self.gamma = a, b, gamma
-            lo, hi = sorted((a, a + b))
+            lo = min(a, a + b)
             if lo <= 0:
                 raise ValueError(f"power-law volatility must stay positive on [0,1]; inf H = {lo}")
-            self.holder_exponent = min(1.0, gamma)
-            self.bounds = (lo, hi)
         elif kind == "table":
             s = np.asarray(s_knots, dtype=float)
             h = np.asarray(h_knots, dtype=float)
@@ -154,8 +146,6 @@ class VolatilitySpec:
             if np.any(h <= 0):
                 raise ValueError("tabulated volatility must be positive everywhere")
             self.s_knots, self.h_knots = s, h
-            self.holder_exponent = 1.0          # piecewise linear is Lipschitz
-            self.bounds = (float(h.min()), float(h.max()))
         else:
             raise ValueError(f"unknown volatility form {kind!r}")
 
@@ -172,13 +162,6 @@ class VolatilitySpec:
     @classmethod
     def table(cls, s_knots, h_knots) -> "VolatilitySpec":
         return cls("table", s_knots=s_knots, h_knots=h_knots)
-
-    def as_dict(self) -> dict:
-        if self.kind == "constant":
-            return {"form": "constant", "sigma": self.sigma}
-        if self.kind == "power_law":
-            return {"form": "power_law", "a": self.a, "b": self.b, "gamma": self.gamma}
-        return {"form": "table", "s": self.s_knots.tolist(), "h": self.h_knots.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "VolatilitySpec":
@@ -260,7 +243,7 @@ class VolatilitySpec:
                 tot += c ** p * (hi - lo)
             else:
                 tot += ((c + d * (hi - lo)) ** (p + 1) - c ** (p + 1)) / (d * (p + 1))
-        return tot
+        return float(tot)
 
     def step_standard_deviations(self, grid: Grid) -> np.ndarray:
         """Exact per-step std of int H dW over each grid step."""

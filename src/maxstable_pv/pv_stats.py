@@ -104,7 +104,7 @@ def lambda_phi_unit(p: int) -> float:
 
 
 def clt_bias_functional(ms_path: MaxStablePath, p: int, t: float,
-                        halfwidth: float, lambda_phi1: float | None = None) -> float:
+                        halfwidth: float) -> float:
     """Pair local-time bias functional with per-step volatility weights.
 
     The target is  sum_{j<k} int_0^t lambda(phi_{p,H_s}) / (2 H_s^2)
@@ -114,8 +114,7 @@ def clt_bias_functional(ms_path: MaxStablePath, p: int, t: float,
     variance-2H^2 path picks up dL0 / H^2 (occupation times scale with the
     quadratic variation).  With lambda(phi_{p,sigma}) =
     sigma^{p+1} lambda(phi_{p,1}) the net per-step weight is
-    lambda(phi_{p,1}) H^{p+1} / (2 h sqrt(n)).  ``lambda_phi1`` may be
-    passed to skip the (cached) unit-sigma quadrature.
+    lambda(phi_{p,1}) H^{p+1} / (2 h sqrt(n)).
     """
     p = _check_order(p)
     if halfwidth <= 0:
@@ -129,7 +128,7 @@ def clt_bias_functional(ms_path: MaxStablePath, p: int, t: float,
         raise ValueError(
             f"halfwidth/sqrt(n) = {thr:.3g} reaches the "
             f"retain margin {ms_path.retain_margin}; near-top atoms may be missing")
-    lam1 = lambda_phi_unit(p) if lambda_phi1 is None else float(lambda_phi1)
+    lam1 = lambda_phi_unit(p)
     h_left = ms_path.vol.value(grid.times[:n])
     weights = lam1 * h_left ** (p + 1) / (2.0 * halfwidth * math.sqrt(n))
     m = grid.last_increment(t)

@@ -87,11 +87,6 @@ class QuadResult:
     error: float | np.ndarray
     panels: int
 
-    def within(self, cfg: QuadratureConfig) -> bool:
-        err = np.max(np.atleast_1d(self.error))
-        scale = np.max(np.abs(np.atleast_1d(self.value)))
-        return bool(err <= cfg.tolerance(scale))
-
 
 class QuadratureError(RuntimeError):
     """Tolerance not reached within the subdivision budget.
@@ -103,6 +98,11 @@ class QuadratureError(RuntimeError):
     def __init__(self, message: str, best: QuadResult):
         super().__init__(message)
         self.best = best
+
+    def __reduce__(self):
+        # pickling must carry the best estimate, or a failure in a pool
+        # worker cannot be rebuilt in the parent
+        return type(self), (self.args[0], self.best)
 
 
 def _eval_panels(f, a: np.ndarray, b: np.ndarray):

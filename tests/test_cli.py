@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from maxstable_pv import cli, pv_stats
 from maxstable_pv.gauss_kernels import KernelTable
@@ -116,6 +117,21 @@ def test_verify_pass_and_report(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["verdicts"][0]["passed"] is True
     assert "wall_time" in report
+
+
+@pytest.mark.parametrize("experiment", ["lln", "clt"])
+def test_verify_with_tabulated_h(experiment, tmp_path, monkeypatch, capsys):
+    # the report of a tabulated-H run must serialize like any other
+    monkeypatch.setenv("MAXSTABLE_PV_THREADS", "1")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "experiment": experiment, "model": "br", "p": 2, "n": 64, "reps": 8,
+        "sigma": None, "h_spec": {"form": "table", "s": [0.0, 0.5, 1.0],
+                                  "h": [1.0, 1.5, 1.0]}}))
+    out = tmp_path / "report.json"
+    assert run_cli("verify", "--config", str(cfg), "--out", str(out)) != 2
+    report = json.loads(out.read_text())
+    assert report["config"]["h_spec"]["form"] == "table"
 
 
 def test_verify_flag_overrides_config(tmp_path):

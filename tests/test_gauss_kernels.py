@@ -98,6 +98,8 @@ def test_psi_examples():
     assert gk.psi(2, 1.0, 2.0, 0.0) == 3.0
     assert gk.psi(3, 0.0, 0.0, 5.0) == 0.0
     assert gk.psi(1, 2.0, 0.0, 1.0) == 1.0
+    with pytest.raises(ValueError):
+        gk.psi(0, 1.0, 2.0, 0.0)
 
 
 def test_psi_vanishes_off_indicators():
@@ -108,16 +110,6 @@ def test_psi_vanishes_off_indicators():
     vals = gk.psi(2, x, y, w)
     off = ((w > 0) & (w > x - y)) | ((w < 0) & (w < x - y))
     assert np.all(vals[off] == 0.0)
-
-
-def test_psi_sigma_examples():
-    assert gk.psi_sigma(2, 1.0, 1.0, 2.0, 0.0) == 3.0
-    assert gk.psi_sigma(2, 2.0, 0.5, 1.0, 0.0) == 3.0
-    assert gk.psi_sigma(1, 3.0, 1.0, 0.0, 1.5) == 1.5
-    with pytest.raises(ValueError):
-        gk.psi_sigma(2, 0.0, 1.0, 2.0, 0.0)
-    with pytest.raises(ValueError):
-        gk.psi(0, 1.0, 2.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +183,8 @@ def test_lambda_phi2_positive():
 def test_lambda_which_validation():
     with pytest.raises(ValueError):
         gk.lambda_integral(2, 1.0, CFG, which="psi")
+    with pytest.raises(ValueError):
+        gk.lambda_integral(2, 0.0, CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +234,8 @@ def test_kernel_table_build_and_roundtrip(tmp_path):
     assert abs(trapz - table.lambda_phi) < 2e-3 * abs(table.lambda_phi)
 
     path = tmp_path / "kernels.csv"
-    table.to_csv(path)
+    with open(path, "w", encoding="utf-8") as fh:
+        table.to_csv(fh)
     back = gk.KernelTable.from_csv(path)
     assert back.p == table.p and back.sigma == table.sigma
     assert np.array_equal(back.w_grid, table.w_grid)

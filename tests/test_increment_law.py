@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from maxstable_pv import gauss_kernels as gk
@@ -50,12 +52,11 @@ def test_marginal_cdf_at_zero():
         assert marginal_cdf(0.0, IncrementLawParams(sigma, n)) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_marginal_symmetry():
-    for sigma, n in ((0.5, 4), (1.0, 256), (2.0, 4096)):
-        params = IncrementLawParams(sigma, n)
-        for u in (0.1, 1.0, 3.0, 7.5):
-            s = marginal_cdf(u, params) + marginal_cdf(-u, params)
-            assert abs(s - 1.0) < 1e-12
+@given(sigma=st.floats(0.1, 4.0), n=st.integers(1, 2 ** 20), u=st.floats(-30.0, 30.0))
+def test_marginal_symmetry(sigma, n, u):
+    params = IncrementLawParams(sigma, n)
+    s = marginal_cdf(u, params) + marginal_cdf(-u, params)
+    assert abs(s - 1.0) < 1e-12
 
 
 def test_marginal_gaussian_limit():

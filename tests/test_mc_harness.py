@@ -180,6 +180,12 @@ def test_report_bit_reproducible_across_worker_counts(monkeypatch):
     assert parsed["verdicts"][0]["threshold"] > 0
 
 
+def test_verdict_passes_strictly_below_threshold():
+    # a plain bool even for numpy inputs, so the report serializes
+    assert mh.Verdict("v", np.float64(0.5), np.float64(1.0)).passed is True
+    assert mh.Verdict("v", 1.0, 1.0).passed is False
+
+
 def test_run_experiment_dispatch():
     cfg = ExperimentConfig(experiment="moment_bias", model="br", p=2, n=256,
                            reps=2, sigma=1.0)

@@ -99,13 +99,19 @@ def test_integrated_power_closed_forms():
         h.integrated_power(2, 0.0, 1.0), abs=1e-12)
 
 
-def test_volatility_dict_roundtrip():
-    for h in (VolatilitySpec.constant(1.5),
-              VolatilitySpec.power_law(1.0, 0.5, 0.75),
-              VolatilitySpec.table([0.0, 0.3, 1.0], [1.0, 2.0, 1.5])):
-        back = VolatilitySpec.from_dict(h.as_dict())
+def test_volatility_from_dict():
+    for d, h in (({"form": "constant", "sigma": 1.5}, VolatilitySpec.constant(1.5)),
+                 ({"form": "power_law", "a": 1.0, "b": 0.5, "gamma": 0.75},
+                  VolatilitySpec.power_law(1.0, 0.5, 0.75)),
+                 ({"form": "power_law", "a": 1.0, "b": 0.5}, VolatilitySpec.power_law(1.0, 0.5)),
+                 ({"form": "table", "s": [0.0, 0.3, 1.0], "h": [1.0, 2.0, 1.5]},
+                  VolatilitySpec.table([0.0, 0.3, 1.0], [1.0, 2.0, 1.5]))):
+        back = VolatilitySpec.from_dict(d)
         s = np.linspace(0, 1, 11)
-        assert np.allclose(back.value(s), h.value(s), atol=1e-15)
+        assert back.kind == h.kind
+        assert np.array_equal(back.value(s), h.value(s))
+    with pytest.raises(ValueError):
+        VolatilitySpec.from_dict({"form": "spline"})
 
 
 # ---------------------------------------------------------------------------

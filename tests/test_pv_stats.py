@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maxstable_pv import pv_stats
@@ -54,18 +54,21 @@ def test_power_variation_zero_path():
     assert pv_stats.power_variation(GridPath(grid, np.zeros(65)), 3, 1.0) == 0.0
 
 
-def test_power_variation_homogeneity_and_shift():
-    grid = Grid(128)
-    path = sample_brownian(grid, replicate_rng(1, 0))
-    c = -2.5
+@given(n=st.integers(2, 1024), seed=st.integers(0, 2 ** 32 - 1), p=st.integers(1, 4),
+       t=st.floats(0.0, 1.0), k=st.integers(-16, 16).filter(bool),
+       shift=st.integers(-512, 512))
+def test_power_variation_homogeneity_and_shift(n, seed, p, t, k, shift):
+    grid = Grid(n)
+    # dyadic lattice values, so scaling by k/4 and shifting by shift/8 are exact
+    # in binary: increments scale exactly and only |.|^p rounds
+    w = sample_brownian(grid, replicate_rng(seed, 0))
+    path = GridPath(grid, np.round(w.values * 2 ** 20) / 2 ** 20)
+    c = k / 4.0
     scaled = GridPath(grid, c * path.values)
-    assert pv_stats.power_variation(scaled, 3, 0.7) == pytest.approx(
-        abs(c) ** 3 * pv_stats.power_variation(path, 3, 0.7), rel=1e-14)
-    # dyadic lattice values so that adding the constant is exact in binary
-    lattice = GridPath(grid, np.round(path.values * 2 ** 20) / 2 ** 20)
-    shifted = GridPath(grid, lattice.values + 16.0)
-    assert pv_stats.power_variation(shifted, 2, 1.0) == \
-        pv_stats.power_variation(lattice, 2, 1.0)
+    assert pv_stats.power_variation(scaled, p, t) == pytest.approx(
+        abs(c) ** p * pv_stats.power_variation(path, p, t), rel=1e-14)
+    shifted = GridPath(grid, path.values + shift / 8.0)
+    assert pv_stats.power_variation(shifted, p, t) == pv_stats.power_variation(path, p, t)
 
 
 def test_power_variation_early_times_zero():
@@ -94,14 +97,17 @@ def test_tanaka_zero_for_monotone_positive_path():
     assert pv_stats.local_time_tanaka(path, 1.0) == 0.0
 
 
-def test_tanaka_reflection_symmetry():
-    grid = Grid(512)
-    for r in range(100):
-        w = sample_brownian(grid, replicate_rng(3, r))
-        path = GridPath(grid, w.values + 0.3)     # avoid exact zeros
-        flipped = GridPath(grid, -path.values)
-        assert pv_stats.local_time_tanaka(path, 1.0) == pytest.approx(
-            pv_stats.local_time_tanaka(flipped, 1.0), abs=1e-12)
+@given(n=st.integers(2, 2048), seed=st.integers(0, 2 ** 32 - 1),
+       offset=st.floats(-3.0, 3.0), t=st.floats(0.0, 1.0))
+def test_tanaka_reflection_symmetry(n, seed, offset, t):
+    grid = Grid(n)
+    w = sample_brownian(grid, replicate_rng(seed, 0))
+    path = GridPath(grid, w.values + offset)
+    # sign(0) = +1 breaks the symmetry at exact zeros; elsewhere negating
+    # the path negates sign(X) and dX alike, so every term is unchanged
+    assume(np.all(path.values != 0.0))
+    flipped = GridPath(grid, -path.values)
+    assert pv_stats.local_time_tanaka(flipped, t) == pv_stats.local_time_tanaka(path, t)
 
 
 def test_local_time_estimators_hit_known_mean():
@@ -147,7 +153,7 @@ def test_bias_functional_reduces_to_kernel_local_time():
     path = _two_atom_path(grid, w1, w1 + diff.values)
     lam1 = pv_stats.lambda_phi_unit(2)
     expected = 0.5 * lam1 * pv_stats.local_time_kernel(diff, 1.0, 1.0)
-    got = pv_stats.clt_bias_functional(path, 2, 1.0, 1.0, lam1)
+    got = pv_stats.clt_bias_functional(path, 2, 1.0, 1.0)
     assert got == pytest.approx(expected, abs=1e-12)
 
 

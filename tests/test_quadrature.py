@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -58,6 +61,30 @@ def test_unreachable_tolerance_raises_with_best_estimate():
     best = exc.value.best
     assert np.isfinite(best.value)
     assert best.error > 0
+
+
+def test_quadrature_error_pickles_with_its_best_estimate():
+    cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30, max_subdivisions=64)
+    with pytest.raises(QuadratureError) as exc:
+        adaptive_gauss_kronrod(np.exp, 0.0, 3.0, cfg)
+    copy = pickle.loads(pickle.dumps(exc.value))
+    assert type(copy) is QuadratureError
+    assert str(copy) == str(exc.value)
+    assert copy.best == exc.value.best
+
+
+def test_quadrature_error_crosses_a_process_pool():
+    # a worker's quadrature failure must reach the parent as QuadratureError,
+    # not as a BrokenProcessPool from a failed unpickle
+    cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30, max_subdivisions=64)
+    with pytest.raises(QuadratureError) as local:
+        adaptive_gauss_kronrod(np.exp, 0.0, 3.0, cfg)
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+        fut = pool.submit(adaptive_gauss_kronrod, np.exp, 0.0, 3.0, cfg)
+        with pytest.raises(QuadratureError) as remote:
+            fut.result(timeout=120)
+    assert remote.value.best == local.value.best
 
 
 def test_degenerate_interval():
