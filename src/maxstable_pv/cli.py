@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import sys
 
@@ -38,6 +39,11 @@ EXIT_OK = 0
 EXIT_VERDICT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+# verify takes one flag per ExperimentConfig field; the experiment has its own
+# flag with choices, and h_spec (a nested dict) comes from --config only
+_VERIFY_FIELDS = tuple(f for f in dataclasses.fields(mc_harness.ExperimentConfig)
+                       if f.name not in ("experiment", "h_spec"))
 
 
 @contextlib.contextmanager
@@ -91,10 +97,11 @@ def _cmd_tabulate_increment_law(args) -> int:
 
 def _cmd_simulate(args) -> int:
     grid = Grid(args.n)
+    if args.model == "br":
+        vol = _load_h_spec(args.h_spec) if args.h_spec else VolatilitySpec.constant(args.sigma)
     with _output(args.out) as fh:
         writer = csv.writer(fh)
         if args.model == "br":
-            vol = _load_h_spec(args.h_spec) if args.h_spec else VolatilitySpec.constant(args.sigma)
             writer.writerow(["replicate", "i", "t", "value", "argmax_atom"])
             for r in range(args.reps):
                 rng = replicate_rng(args.seed, r)
@@ -112,35 +119,39 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _read_paths_csv(path: str):
-    """Yields (replicate, GridPath) from a simulate output file."""
+def _read_paths_csv(path: str) -> list:
+    """(replicate, GridPath) pairs from a simulate output file, read in full
+    so that a bad input fails before any --out file is opened."""
     by_rep: dict[int, list] = {}
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"empty path file {path}")
         vcol = header.index("value")
         for row in reader:
             by_rep.setdefault(int(row[0]), []).append(float(row[vcol]))
-    for rep in sorted(by_rep):
-        vals = np.array(by_rep[rep])
-        yield rep, GridPath(Grid(len(vals) - 1), vals)
+    return [(rep, GridPath(Grid(len(by_rep[rep]) - 1), np.array(by_rep[rep])))
+            for rep in sorted(by_rep)]
 
 
 def _cmd_powervar(args) -> int:
+    paths = _read_paths_csv(args.infile)
     with _output(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["replicate", "t", "B"])
-        for rep, path in _read_paths_csv(args.infile):
+        for rep, path in paths:
             b = pv_stats.power_variation(path, args.p, args.t)
             writer.writerow([rep, repr(float(args.t)), repr(b)])
     return EXIT_OK
 
 
 def _cmd_estimate_h(args) -> int:
+    paths = _read_paths_csv(args.infile)
     with _output(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["replicate", "t", "H_hat"])
-        for rep, path in _read_paths_csv(args.infile):
+        for rep, path in paths:
             h_hat = pv_stats.estimate_h(path, args.p, args.window)
             for t, v in zip(path.grid.times, h_hat.values):
                 writer.writerow([rep, repr(float(t)), repr(float(v))])
@@ -153,10 +164,8 @@ def _cmd_verify(args) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
     cfg_dict = dict(file_cfg)
-    cfg_dict["experiment"] = args.experiment or cfg_dict.get("experiment")
-    for key in ("model", "p", "n", "reps", "sigma", "epsilon", "halfwidth",
-                "master_seed", "t_eval", "window"):
-        flag = getattr(args, key, None)
+    for key in ("experiment", *(f.name for f in _VERIFY_FIELDS)):
+        flag = getattr(args, key)
         if flag is not None:
             cfg_dict[key] = flag
     if cfg_dict.get("experiment") is None:
@@ -231,16 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a verification experiment")
     v.add_argument("--experiment", choices=list(mc_harness.EXPERIMENTS), default=None)
     v.add_argument("--config", default=None, help="JSON file mirroring ExperimentConfig")
-    v.add_argument("--model", choices=["max2bm", "br"], default=None)
-    v.add_argument("--p", type=int, default=None)
-    v.add_argument("--n", type=int, default=None)
-    v.add_argument("--reps", type=int, default=None)
-    v.add_argument("--sigma", type=float, default=None)
-    v.add_argument("--epsilon", type=float, default=None)
-    v.add_argument("--halfwidth", type=float, default=None)
-    v.add_argument("--master-seed", dest="master_seed", type=int, default=None)
-    v.add_argument("--t-eval", dest="t_eval", type=float, default=None)
-    v.add_argument("--window", type=int, default=None)
+    for f in _VERIFY_FIELDS:
+        v.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                       type=type(f.default), default=None)
     v.add_argument("--out", default=None)
     v.set_defaults(fn=_cmd_verify)
 

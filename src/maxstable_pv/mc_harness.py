@@ -1,9 +1,11 @@
 """Monte Carlo experiment orchestration and statistical verification.
 
-Each experiment simulates a batch of independent replicates, folds the
+``run_experiment(config)`` is the one entry point: it looks the experiment
+up in ``EXPERIMENTS``, times the run and builds the ExperimentReport.  Each
+experiment simulates a batch of independent replicates, folds the
 per-replicate statistics into aggregates in replicate-index order, and
-emits an ExperimentReport whose verdicts each carry the measured value and
-the threshold it was judged against.
+returns them with verdicts that each carry the measured value and the
+threshold it was judged against.
 
 Replicate r draws from the private stream (master_seed, r), so reports are
 bit-reproducible for a fixed config and shuffling the execution order (or
@@ -56,12 +58,6 @@ __all__ = [
     "ExperimentReport",
     "ks_statistic",
     "ks_statistic_two_sample",
-    "run_lln",
-    "run_clt",
-    "run_marginal_increment",
-    "run_distributional_facts",
-    "run_moment_bias",
-    "run_h_recovery",
     "run_experiment",
     "EXPERIMENTS",
 ]
@@ -276,24 +272,20 @@ def _row_marginal(cfg: ExperimentConfig, index: int) -> dict:
 
 
 def _row_facts(cfg: ExperimentConfig, index: int) -> dict:
+    """Path ``index``'s marginal picks, plus the k=5 group maximum over the
+    fresh paths reps + 5 * index + j, j = 0..4."""
     ms = _simulate_br(cfg, index)
     g = ms.grid
     vals = ms.log_eta.values
     picks = {f"log_eta_{tag}": float(vals[g.last_increment(t)])
              for tag, t in (("02", 0.2), ("03", 0.3), ("05", 0.5), ("08", 0.8))}
-    picks["eta_07"] = float(math.exp(vals[g.last_increment(0.7)]))
-    return picks
-
-
-def _row_maxstab_group(cfg: ExperimentConfig, index: int) -> dict:
-    # index >= reps encodes group number; each group folds 5 fresh paths
-    group = index - cfg.reps
-    i7 = Grid(cfg.n).last_increment(0.7)
+    i7 = g.last_increment(0.7)
+    picks["eta_07"] = float(math.exp(vals[i7]))
     best = -math.inf
     for j in range(5):
-        ms = _simulate_br(cfg, cfg.reps + 5 * group + j)
-        best = max(best, ms.log_eta.values[i7])
-    return {"eta_07_kmax": math.exp(best) / 5.0}
+        best = max(best, _simulate_br(cfg, cfg.reps + 5 * index + j).log_eta.values[i7])
+    picks["eta_07_kmax"] = math.exp(best) / 5.0
+    return picks
 
 
 def _row_h_recovery(cfg: ExperimentConfig, index: int) -> dict:
@@ -322,20 +314,8 @@ def _columns(rows: list, key: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners
+# experiment runners: each returns (per_replicate, aggregate, verdicts)
 # ---------------------------------------------------------------------------
-
-def _report(cfg: ExperimentConfig, per_replicate: dict, aggregate: dict,
-            verdicts: list, started: float) -> ExperimentReport:
-    return ExperimentReport(
-        config=cfg.to_dict(),
-        config_hash=cfg.config_hash(),
-        per_replicate=per_replicate,
-        aggregate=aggregate,
-        verdicts=verdicts,
-        wall_time=time.perf_counter() - started,
-    )
-
 
 def _lln_target_and_allowance(cfg: ExperimentConfig):
     p, t, n = cfg.p, cfg.t_eval, cfg.n
@@ -354,10 +334,9 @@ def _lln_target_and_allowance(cfg: ExperimentConfig):
     return target, bias / math.sqrt(n) + floor_deficit
 
 
-def run_lln(config: ExperimentConfig) -> ExperimentReport:
+def _lln(config: ExperimentConfig) -> tuple:
     """Replicate-mean of B(p)_t against its law-of-large-numbers target,
     with a 3-sigma band plus the predicted O(1/sqrt(n)) mean shift."""
-    started = time.perf_counter()
     rows = _map_replicates(config, _row_lln, range(config.reps))
     b = _columns(rows, "B")
     truncated = int(_columns(rows, "truncated").sum())
@@ -372,14 +351,13 @@ def run_lln(config: ExperimentConfig) -> ExperimentReport:
         "bias_allowance": allowance, "gap": gap, "truncated": truncated,
     }
     verdicts = [Verdict(f"lln_{config.model}_p{config.p}", gap, threshold)]
-    return _report(config, {"B": b.tolist()}, aggregate, verdicts, started)
+    return {"B": b.tolist()}, aggregate, verdicts
 
 
-def run_clt(config: ExperimentConfig) -> ExperimentReport:
+def _clt(config: ExperimentConfig) -> tuple:
     """Central-limit diagnostics: regression of S = sqrt(n)(B - target) on the
     per-path bias estimate, residual variance, and Gaussianity of the
     standardized residuals."""
-    started = time.perf_counter()
     rows = _map_replicates(config, _row_clt, range(config.reps))
     keep = _columns(rows, "truncated") == 0
     s = _columns(rows, "S")[keep]
@@ -426,16 +404,16 @@ def run_clt(config: ExperimentConfig) -> ExperimentReport:
     if config.model == "max2bm":
         verdicts.append(Verdict(f"clt_{config.model}_ks", ks, 1.36 / math.sqrt(len(s))))
     per_rep = {"S": s.tolist(), "x": x.tolist(), "bhat": bhat.tolist()}
-    return _report(config, per_rep, aggregate, verdicts, started)
+    return per_rep, aggregate, verdicts
 
 
-def run_marginal_increment(config: ExperimentConfig) -> ExperimentReport:
+def _marginal(config: ExperimentConfig) -> tuple:
     """Pooled mid-path normalized increments against the exact marginal law."""
-    started = time.perf_counter()
     if config.model != "br" or config.sigma is None:
         raise ValueError("marginal_increment requires model 'br' with constant sigma")
     rows = _map_replicates(config, _row_marginal, range(config.reps))
     u = _columns(rows, "U")
+    truncated = int(_columns(rows, "truncated").sum())
     u = u[np.isfinite(u)]
     params = increment_law.IncrementLawParams(config.sigma, config.n)
     ks = ks_statistic(u, lambda q: increment_law.marginal_cdf(q, params))
@@ -450,31 +428,29 @@ def run_marginal_increment(config: ExperimentConfig) -> ExperimentReport:
 
     aggregate = {
         "ks": ks, "pooled_abs_moment": pooled, "exact_abs_moment": exact,
-        "pooled_se": pooled_se, "frac_nonpositive": frac_neg,
+        "pooled_se": pooled_se, "frac_nonpositive": frac_neg, "truncated": truncated,
     }
     verdicts = [
         Verdict("marginal_ks", ks, ks_threshold),
         Verdict("marginal_moment", abs(pooled - exact), 4 * pooled_se),
         Verdict("marginal_sign_symmetry", abs(frac_neg - 0.5), 4 * frac_se),
     ]
-    return _report(config, {"U": u.tolist()}, aggregate, verdicts, started)
+    return {"U": u.tolist()}, aggregate, verdicts
 
 
-def run_distributional_facts(config: ExperimentConfig) -> ExperimentReport:
+def _facts(config: ExperimentConfig) -> tuple:
     """Frechet marginal, Gumbel log-marginal, k=5 max-stability, and two-time
     stationarity, each with its own verdict."""
-    started = time.perf_counter()
     if config.model != "br":
         raise ValueError("distributional facts require model 'br'")
     reps = config.reps
     rows = _map_replicates(config, _row_facts, range(reps))
-    groups = _map_replicates(config, _row_maxstab_group, range(reps, 2 * reps))
 
     log_eta_03 = _columns(rows, "log_eta_03")
     eta_03 = np.exp(log_eta_03)
     eta_05 = np.exp(_columns(rows, "log_eta_05"))
     eta_07 = _columns(rows, "eta_07")
-    kmax = _columns(groups, "eta_07_kmax")
+    kmax = _columns(rows, "eta_07_kmax")
 
     frechet_cdf = lambda z: np.exp(-1.0 / np.maximum(z, 1e-300))
     gumbel_cdf = lambda x: np.exp(-np.exp(-x))
@@ -505,10 +481,10 @@ def run_distributional_facts(config: ExperimentConfig) -> ExperimentReport:
     per_rep = {"eta_03": eta_03.tolist(), "log_eta_02": _columns(rows, "log_eta_02").tolist(),
                "log_eta_08": _columns(rows, "log_eta_08").tolist(),
                "eta_07_kmax": kmax.tolist()}
-    return _report(config, per_rep, aggregate, verdicts, started)
+    return per_rep, aggregate, verdicts
 
 
-def run_moment_bias(config: ExperimentConfig) -> ExperimentReport:
+def _moment_bias(config: ExperimentConfig) -> tuple:
     """Quadrature-only: the scaled moment gap sqrt(n)(E|U|^p - m_p) along a
     ladder of n against its limit sigma * J_p.
 
@@ -517,7 +493,6 @@ def run_moment_bias(config: ExperimentConfig) -> ExperimentReport:
     expansion of the tail ratio, where every 1/sqrt(n) enters as
     sigma/sqrt(n)).
     """
-    started = time.perf_counter()
     p = config.p
     sigma = config.sigma if config.sigma is not None else 1.0
     cfg_q = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12)
@@ -535,12 +510,11 @@ def run_moment_bias(config: ExperimentConfig) -> ExperimentReport:
         "rel_gap_at_1e8": rel_gap,
     }
     verdicts = [Verdict(f"moment_bias_p{p}", rel_gap, 0.01)]
-    return _report(config, {}, aggregate, verdicts, started)
+    return {}, aggregate, verdicts
 
 
-def run_h_recovery(config: ExperimentConfig) -> ExperimentReport:
+def _h_recovery(config: ExperimentConfig) -> tuple:
     """Localized volatility recovery through the power-variation LLN."""
-    started = time.perf_counter()
     if config.model != "br":
         raise ValueError("estimate_h experiment requires model 'br'")
     if config.window == 0:
@@ -550,21 +524,29 @@ def run_h_recovery(config: ExperimentConfig) -> ExperimentReport:
     mean_mae = float(mae.mean())
     aggregate = {"mean_interior_mae": mean_mae}
     verdicts = [Verdict("h_recovery_mae", mean_mae, 0.1)]
-    return _report(config, {"mae": mae.tolist()}, aggregate, verdicts, started)
+    return {"mae": mae.tolist()}, aggregate, verdicts
 
 
 EXPERIMENTS = {
-    "frechet": run_distributional_facts,
-    "stationarity": run_distributional_facts,
-    "maxstability": run_distributional_facts,
-    "marginal_increment": run_marginal_increment,
-    "moment_bias": run_moment_bias,
-    "lln": run_lln,
-    "clt": run_clt,
-    "estimate_h": run_h_recovery,
+    "frechet": _facts,
+    "marginal_increment": _marginal,
+    "moment_bias": _moment_bias,
+    "lln": _lln,
+    "clt": _clt,
+    "estimate_h": _h_recovery,
 }
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    """Run the named experiment, timed, and build its report."""
+    started = time.perf_counter()
     _resolve_workers()      # a bad MAXSTABLE_PV_THREADS fails every experiment alike
-    return EXPERIMENTS[config.experiment](config)
+    per_replicate, aggregate, verdicts = EXPERIMENTS[config.experiment](config)
+    return ExperimentReport(
+        config=config.to_dict(),
+        config_hash=config.config_hash(),
+        per_replicate=per_replicate,
+        aggregate=aggregate,
+        verdicts=verdicts,
+        wall_time=time.perf_counter() - started,
+    )

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ def test_criterion_03_distributional_facts():
     cfg = mh.ExperimentConfig(experiment="frechet", model="br", n=256,
                               reps=10_000, sigma=1.0, epsilon=1e-3,
                               master_seed=MASTER_SEED)
-    report = mh.run_distributional_facts(cfg)
+    report = mh.run_experiment(cfg)
     checks = [_line(v.name, v.passed, f"measured {v.measured:.5f} < {v.threshold:.5f}")
               for v in report.verdicts]
     # stationarity invariant: both time points individually Gumbel
@@ -110,7 +111,7 @@ def test_criterion_04_marginal_increment_law():
     cfg = mh.ExperimentConfig(experiment="marginal_increment", model="br", p=2,
                               n=256, reps=10_000, sigma=1.0, epsilon=1e-3,
                               master_seed=MASTER_SEED)
-    report = mh.run_marginal_increment(cfg)
+    report = mh.run_experiment(cfg)
     checks = [_line(v.name, v.passed, f"measured {v.measured:.5f} < {v.threshold:.5f}")
               for v in report.verdicts]
     assert all(checks)
@@ -129,7 +130,7 @@ def test_criterion_05_lln_suite():
     for kw in configs:
         cfg = mh.ExperimentConfig(experiment="lln", n=2 ** 14, reps=200,
                                   epsilon=1e-3, master_seed=MASTER_SEED, **kw)
-        report = mh.run_lln(cfg)
+        report = mh.run_experiment(cfg)
         v = report.verdicts[0]
         tag = kw["h_spec"]["form"] if kw.get("h_spec") else f"sigma={kw['sigma']}"
         checks.append(_line(
@@ -149,7 +150,7 @@ def test_criterion_06_clt_suite():
     for tag, kw in cases:
         cfg = mh.ExperimentConfig(experiment="clt", n=4096, reps=1000,
                                   epsilon=1e-3, master_seed=MASTER_SEED, **kw)
-        report = mh.run_clt(cfg)
+        report = mh.run_experiment(cfg)
         agg = report.aggregate
         detail = (f"slope {agg['slope']:.4f} (target {agg['slope_target']:.4f}), "
                   f"resid var {agg['resid_var']:.4f} (target {agg['resid_var_target']:.4f}), "
@@ -168,15 +169,19 @@ def test_criterion_06_clt_suite():
     assert all(checks)
 
 
+def _criterion_07_row(r):
+    _, diff = sample_max_two_bm(Grid(2 ** 16), replicate_rng(MASTER_SEED, r))
+    return pv_stats.local_time_kernel(diff, 1.0, 2.0), pv_stats.local_time_tanaka(diff, 1.0)
+
+
 def _criterion_07_estimates():
-    grid = Grid(2 ** 16)
+    # replicate r draws from its own stream, so the pool changes no number
     reps = 10_000
-    kern = np.empty(reps)
-    tank = np.empty(reps)
-    for r in range(reps):
-        _, diff = sample_max_two_bm(grid, replicate_rng(MASTER_SEED, r))
-        kern[r] = pv_stats.local_time_kernel(diff, 1.0, 2.0)
-        tank[r] = pv_stats.local_time_tanaka(diff, 1.0)
+    workers = mh._resolve_workers()
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        rows = list(pool.map(_criterion_07_row, range(reps),
+                             chunksize=max(1, reps // (workers * 8))))
+    kern, tank = (np.array(col) for col in zip(*rows))
     return kern, tank
 
 
@@ -225,7 +230,7 @@ def test_criterion_09_h_recovery():
     cfg = mh.ExperimentConfig(experiment="estimate_h", model="br", p=2,
                               n=2 ** 16, reps=20, sigma=None, h_spec=LINEAR_H,
                               epsilon=1e-3, master_seed=MASTER_SEED, window=1024)
-    report = mh.run_h_recovery(cfg)
+    report = mh.run_experiment(cfg)
     v = report.verdicts[0]
     assert _line("H recovery", v.passed,
                  f"mean interior MAE {v.measured:.4f} < {v.threshold}")
@@ -238,10 +243,10 @@ def test_criterion_10_reproducibility():
     saved = os.environ.get("MAXSTABLE_PV_THREADS")
     try:
         os.environ["MAXSTABLE_PV_THREADS"] = "1"
-        first = mh.run_marginal_increment(cfg).canonical_json()
-        second = mh.run_marginal_increment(cfg).canonical_json()
+        first = mh.run_experiment(cfg).canonical_json()
+        second = mh.run_experiment(cfg).canonical_json()
         os.environ["MAXSTABLE_PV_THREADS"] = "2"
-        pooled = mh.run_marginal_increment(cfg).canonical_json()
+        pooled = mh.run_experiment(cfg).canonical_json()
     finally:
         if saved is None:
             os.environ.pop("MAXSTABLE_PV_THREADS", None)

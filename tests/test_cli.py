@@ -159,6 +159,34 @@ def test_verify_requires_experiment(capsys):
     assert run_cli("verify") == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--experiment", "marginal_increment", "--model", "max2bm"],
+     "marginal_increment requires model 'br'"),
+    (["--experiment", "frechet", "--model", "max2bm"],
+     "distributional facts require model 'br'"),
+    (["--experiment", "estimate_h"], "requires a window"),
+], ids=("marginal-max2bm", "frechet-max2bm", "estimate_h-no-window"))
+def test_verify_runner_preconditions_exit_2(argv, message, capsys):
+    # each config is valid; the experiment itself refuses it before simulating
+    assert run_cli("verify", *argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["powervar", "--in", "missing.csv", "--p", "2"],
+    ["powervar", "--in", "empty.csv", "--p", "2"],
+    ["estimate-h", "--in", "missing.csv", "--p", "2", "--window", "4"],
+    ["simulate", "--model", "br", "--n", "8", "--h-spec", "missing.csv"],
+], ids=("powervar", "powervar-empty", "estimate-h", "simulate"))
+def test_bad_input_leaves_existing_out_untouched(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.csv").write_text("")
+    keep = tmp_path / "keep.csv"
+    keep.write_text("old\n")
+    assert run_cli(*argv, "--out", str(keep)) == 2
+    assert keep.read_text() == "old\n"
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "maxstable_pv.cli",
                            "tabulate-increment-law", "--sigma", "1.0",

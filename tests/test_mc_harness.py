@@ -10,6 +10,7 @@ import pytest
 from maxstable_pv import cli
 from maxstable_pv import mc_harness as mh
 from maxstable_pv.mc_harness import ExperimentConfig, ks_statistic, ks_statistic_two_sample
+from maxstable_pv.path_sim import TruncationError
 
 
 def test_ks_statistic_quantile_samples():
@@ -97,7 +98,7 @@ def test_worker_resolution(monkeypatch, capsys):
 def test_run_lln_max2bm_small():
     cfg = ExperimentConfig(experiment="lln", model="max2bm", p=2, n=1024,
                            reps=64, master_seed=2024)
-    report = mh.run_lln(cfg)
+    report = mh.run_experiment(cfg)
     assert report.passed, report.aggregate
     assert report.aggregate["target"] == pytest.approx(1.0, abs=1e-12)
     assert report.aggregate["truncated"] == 0
@@ -108,7 +109,7 @@ def test_run_lln_br_general_h_small():
         experiment="lln", model="br", p=2, n=1024, reps=64, sigma=None,
         h_spec={"form": "power_law", "a": 1.0, "b": 1.0, "gamma": 1.0},
         epsilon=1e-3, master_seed=2025)
-    report = mh.run_lln(cfg)
+    report = mh.run_experiment(cfg)
     assert report.aggregate["target"] == pytest.approx(7.0 / 3.0, abs=1e-12)
     assert report.passed, report.aggregate
 
@@ -116,7 +117,7 @@ def test_run_lln_br_general_h_small():
 def test_run_clt_max2bm_small():
     cfg = ExperimentConfig(experiment="clt", model="max2bm", p=2, n=1024,
                            reps=256, master_seed=7)
-    report = mh.run_clt(cfg)
+    report = mh.run_experiment(cfg)
     agg = report.aggregate
     # small-sample run: only coarse agreement expected, plus the exact
     # reduction of the pair functional to the kernel local-time route
@@ -128,7 +129,7 @@ def test_run_clt_max2bm_small():
 def test_run_clt_br_small():
     cfg = ExperimentConfig(experiment="clt", model="br", p=2, n=1024,
                            reps=200, sigma=1.0, epsilon=1e-3, master_seed=11)
-    report = mh.run_clt(cfg)
+    report = mh.run_experiment(cfg)
     agg = report.aggregate
     assert abs(agg["resid_var"] - 2.0) < 0.5
     assert abs(agg["mean_S"] - agg["mean_bhat"]) < 0.5
@@ -138,14 +139,37 @@ def test_run_marginal_increment_small():
     cfg = ExperimentConfig(experiment="marginal_increment", model="br", p=2,
                            n=256, reps=400, sigma=1.0, epsilon=1e-3,
                            master_seed=3)
-    report = mh.run_marginal_increment(cfg)
+    report = mh.run_experiment(cfg)
     assert report.passed, report.aggregate
+
+
+def test_marginal_increment_counts_truncated_replicates(monkeypatch):
+    # one worker maps the replicates in index order, so the stub's third
+    # call is replicate 2
+    real = mh.sample_brown_resnick
+    calls = []
+
+    def truncate_replicate_2(*args, **kwargs):
+        path = real(*args, **kwargs)
+        calls.append(path)
+        if len(calls) == 3:
+            raise TruncationError("atom budget exhausted", path)
+        return path
+
+    monkeypatch.setattr(mh, "sample_brown_resnick", truncate_replicate_2)
+    monkeypatch.setenv("MAXSTABLE_PV_THREADS", "1")
+    cfg = ExperimentConfig(experiment="marginal_increment", model="br", p=2,
+                           n=64, reps=16, sigma=1.0, master_seed=3)
+    report = mh.run_experiment(cfg)
+    assert len(calls) == 16
+    assert report.aggregate["truncated"] == 1
+    assert len(report.per_replicate["U"]) == 15
 
 
 def test_run_distributional_facts_small():
     cfg = ExperimentConfig(experiment="frechet", model="br", n=64, reps=400,
                            sigma=1.0, epsilon=1e-3, master_seed=4)
-    report = mh.run_distributional_facts(cfg)
+    report = mh.run_experiment(cfg)
     assert len(report.verdicts) == 5
     assert report.passed, report.aggregate
 
@@ -153,7 +177,7 @@ def test_run_distributional_facts_small():
 def test_run_moment_bias():
     cfg = ExperimentConfig(experiment="moment_bias", model="br", p=1, n=256,
                            reps=2, sigma=1.0)
-    report = mh.run_moment_bias(cfg)
+    report = mh.run_experiment(cfg)
     assert report.passed
     assert report.aggregate["rel_gap_at_1e8"] < 0.01
 
@@ -163,7 +187,7 @@ def test_run_h_recovery_small():
         experiment="estimate_h", model="br", p=2, n=4096, reps=4, sigma=None,
         h_spec={"form": "power_law", "a": 1.0, "b": 1.0, "gamma": 1.0},
         epsilon=1e-3, master_seed=6, window=256)
-    report = mh.run_h_recovery(cfg)
+    report = mh.run_experiment(cfg)
     assert report.aggregate["mean_interior_mae"] < 0.3
 
 
@@ -171,9 +195,9 @@ def test_report_bit_reproducible_across_worker_counts(monkeypatch):
     cfg = ExperimentConfig(experiment="lln", model="br", p=1, n=256, reps=16,
                            sigma=1.0, epsilon=1e-3, master_seed=99)
     monkeypatch.setenv("MAXSTABLE_PV_THREADS", "1")
-    serial = mh.run_lln(cfg).canonical_json()
+    serial = mh.run_experiment(cfg).canonical_json()
     monkeypatch.setenv("MAXSTABLE_PV_THREADS", "2")
-    pooled = mh.run_lln(cfg).canonical_json()
+    pooled = mh.run_experiment(cfg).canonical_json()
     assert serial == pooled
     parsed = json.loads(serial)
     assert "wall_time" not in parsed
