@@ -79,7 +79,7 @@ def psi(p: int, x, y, w):
 
 def _check_order(p) -> int:
     if not (isinstance(p, (int, np.integer)) and p >= 1):
-        raise ValueError(f"kernel order p must be a positive integer, got {p!r}")
+        raise ValueError(f"order p must be a positive integer, got {p!r}")
     return int(p)
 
 
@@ -350,22 +350,3 @@ class KernelTable:
         fh.write("w,phi,phi2\n")
         for w, a, b in zip(self.w_grid, self.phi_values, self.phi2_values):
             fh.write(f"{float(w)!r},{float(a)!r},{float(b)!r}\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "KernelTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if not header.startswith("#"):
-                raise ValueError("missing kernel-table header comment row")
-            meta = dict(item.split("=", 1) for item in header[1:].split())
-            cols = fh.readline().strip().split(",")
-            if cols != ["w", "phi", "phi2"]:
-                raise ValueError(f"unexpected kernel-table columns {cols}")
-            rows = np.array([[float(x) for x in line.split(",")] for line in fh if line.strip()])
-        cfg = QuadratureConfig(abs_tol=float(meta["abs_tol"]), rel_tol=float(meta["rel_tol"]))
-        return cls(
-            p=int(meta["p"]), sigma=float(meta["sigma"]),
-            w_grid=rows[:, 0], phi_values=rows[:, 1], phi2_values=rows[:, 2],
-            lambda_phi=float(meta["lambda_phi"]), lambda_phi2=float(meta["lambda_phi2"]),
-            config=cfg,
-        )

@@ -13,6 +13,13 @@ running under a process pool) cannot change any aggregate.  The worker
 count is capped by the MAXSTABLE_PV_THREADS environment variable
 (0 or unset = machine default).
 
+A replicate whose atom budget runs out (TruncationError) is dropped by
+``_map_replicates`` alone: the lln, clt and marginal_increment aggregates
+count the dropped replicates as ``truncated`` and use the rest; frechet and
+estimate_h need every replicate and re-raise the first failure; and any run
+left with fewer than two completed replicates raises it too, which the CLI
+reports as a numerical failure (exit 3).
+
 Stable convergence in law cannot be tested directly; its measurable
 consequences are: the conditional mean of the CLT limit is checked by
 regressing the scaled power-variation discrepancy on the per-path bias
@@ -209,14 +216,11 @@ def _simulate_br(cfg: ExperimentConfig, index: int) -> MaxStablePath:
 
 
 def _row_lln(cfg: ExperimentConfig, index: int) -> dict:
-    try:
-        if cfg.model == "max2bm":
-            path, _ = sample_max_two_bm(Grid(cfg.n), replicate_rng(cfg.master_seed, index))
-        else:
-            path = _simulate_br(cfg, index).log_eta
-    except TruncationError:
-        return {"B": float("nan"), "truncated": 1}
-    return {"B": pv_stats.power_variation(path, cfg.p, cfg.t_eval), "truncated": 0}
+    if cfg.model == "max2bm":
+        path, _ = sample_max_two_bm(Grid(cfg.n), replicate_rng(cfg.master_seed, index))
+    else:
+        path = _simulate_br(cfg, index).log_eta
+    return {"B": pv_stats.power_variation(path, cfg.p, cfg.t_eval)}
 
 
 def _row_clt(cfg: ExperimentConfig, index: int) -> dict:
@@ -241,13 +245,8 @@ def _row_clt(cfg: ExperimentConfig, index: int) -> dict:
             retain_margin=math.inf,
         )
         via_pairs = pv_stats.clt_bias_functional(synthetic, p, t, cfg.halfwidth)
-        return {"S": s_val, "x": lt, "bhat": bhat, "truncated": 0,
-                "route_gap": abs(via_pairs - bhat)}
-    try:
-        ms = _simulate_br(cfg, index)
-    except TruncationError:
-        return {"S": float("nan"), "x": float("nan"), "bhat": float("nan"),
-                "truncated": 1, "route_gap": 0.0}
+        return {"S": s_val, "x": lt, "bhat": bhat, "route_gap": abs(via_pairs - bhat)}
+    ms = _simulate_br(cfg, index)
     vol = ms.vol
     target = gauss_kernels.abs_moment(p) * vol.integrated_power(p, 0.0, t)
     b_val = pv_stats.power_variation(ms.log_eta, p, t)
@@ -258,17 +257,14 @@ def _row_clt(cfg: ExperimentConfig, index: int) -> dict:
         # a single atom within the retain margin of the max: no pair can be
         # simultaneously near-tied and on top, so the functional vanishes
         bhat = 0.0
-    return {"S": s_val, "x": bhat, "bhat": bhat, "truncated": 0, "route_gap": 0.0}
+    return {"S": s_val, "x": bhat, "bhat": bhat, "route_gap": 0.0}
 
 
 def _row_marginal(cfg: ExperimentConfig, index: int) -> dict:
-    try:
-        ms = _simulate_br(cfg, index)
-    except TruncationError:
-        return {"U": float("nan"), "truncated": 1}
+    ms = _simulate_br(cfg, index)
     i0 = cfg.n // 2
     du = ms.log_eta.values[i0] - ms.log_eta.values[i0 - 1]
-    return {"U": math.sqrt(cfg.n) / cfg.sigma * du, "truncated": 0}
+    return {"U": math.sqrt(cfg.n) / cfg.sigma * du}
 
 
 def _row_facts(cfg: ExperimentConfig, index: int) -> dict:
@@ -297,16 +293,32 @@ def _row_h_recovery(cfg: ExperimentConfig, index: int) -> dict:
     return {"mae": mae}
 
 
-def _map_replicates(cfg: ExperimentConfig, fn, indices) -> list:
-    """Run the row function ``fn(cfg, index)`` per index; results ordered by
-    index regardless of completion order."""
+def _row_or_truncation(fn, cfg: ExperimentConfig, index: int):
+    """``fn(cfg, index)``, or its TruncationError, caught in the worker."""
+    try:
+        return fn(cfg, index)
+    except TruncationError as exc:
+        return exc
+
+
+def _map_replicates(cfg: ExperimentConfig, fn, indices) -> tuple:
+    """Run the row function ``fn(cfg, index)`` per index: ``(rows, failures)``,
+    the completed replicates' rows in index order and the TruncationErrors of
+    the others.  Raises the first failure if fewer than two rows complete."""
     indices = list(indices)
     workers = _resolve_workers()
     if workers <= 1 or len(indices) < 8:
-        return [fn(cfg, i) for i in indices]
-    chunk = max(1, len(indices) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(functools.partial(fn, cfg), indices, chunksize=chunk))
+        results = [_row_or_truncation(fn, cfg, i) for i in indices]
+    else:
+        chunk = max(1, len(indices) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(functools.partial(_row_or_truncation, fn, cfg),
+                                    indices, chunksize=chunk))
+    rows = [r for r in results if not isinstance(r, TruncationError)]
+    failures = [r for r in results if isinstance(r, TruncationError)]
+    if len(rows) < 2:
+        raise failures[0]
+    return rows, failures
 
 
 def _columns(rows: list, key: str) -> np.ndarray:
@@ -337,18 +349,16 @@ def _lln_target_and_allowance(cfg: ExperimentConfig):
 def _lln(config: ExperimentConfig) -> tuple:
     """Replicate-mean of B(p)_t against its law-of-large-numbers target,
     with a 3-sigma band plus the predicted O(1/sqrt(n)) mean shift."""
-    rows = _map_replicates(config, _row_lln, range(config.reps))
+    rows, failures = _map_replicates(config, _row_lln, range(config.reps))
     b = _columns(rows, "B")
-    truncated = int(_columns(rows, "truncated").sum())
-    ok = b[np.isfinite(b)]
-    mean = float(ok.mean())
-    stderr = float(ok.std(ddof=1) / math.sqrt(len(ok)))
+    mean = float(b.mean())
+    stderr = float(b.std(ddof=1) / math.sqrt(len(b)))
     target, allowance = _lln_target_and_allowance(config)
     gap = abs(mean - target)
     threshold = 3.0 * stderr + allowance
     aggregate = {
         "mean_B": mean, "stderr_B": stderr, "target": target,
-        "bias_allowance": allowance, "gap": gap, "truncated": truncated,
+        "bias_allowance": allowance, "gap": gap, "truncated": len(failures),
     }
     verdicts = [Verdict(f"lln_{config.model}_p{config.p}", gap, threshold)]
     return {"B": b.tolist()}, aggregate, verdicts
@@ -358,12 +368,10 @@ def _clt(config: ExperimentConfig) -> tuple:
     """Central-limit diagnostics: regression of S = sqrt(n)(B - target) on the
     per-path bias estimate, residual variance, and Gaussianity of the
     standardized residuals."""
-    rows = _map_replicates(config, _row_clt, range(config.reps))
-    keep = _columns(rows, "truncated") == 0
-    s = _columns(rows, "S")[keep]
-    x = _columns(rows, "x")[keep]
-    bhat = _columns(rows, "bhat")[keep]
-    truncated = int((~keep).sum())
+    rows, failures = _map_replicates(config, _row_clt, range(config.reps))
+    s = _columns(rows, "S")
+    x = _columns(rows, "x")
+    bhat = _columns(rows, "bhat")
     p, t = config.p, config.t_eval
 
     design = np.column_stack([x, np.ones_like(x)])
@@ -388,7 +396,7 @@ def _clt(config: ExperimentConfig) -> tuple:
         "slope_target": float(slope_target), "r_squared": r_squared,
         "resid_var": resid_var, "resid_var_target": float(cond_var),
         "ks_std_resid": ks, "mean_S": float(s.mean()), "mean_bhat": float(bhat.mean()),
-        "truncated": truncated,
+        "truncated": len(failures),
         "route_gap_max": float(np.max(_columns(rows, "route_gap"))),
     }
     # verdict set per model: the regression slope is pinned for max2bm and
@@ -411,10 +419,8 @@ def _marginal(config: ExperimentConfig) -> tuple:
     """Pooled mid-path normalized increments against the exact marginal law."""
     if config.model != "br" or config.sigma is None:
         raise ValueError("marginal_increment requires model 'br' with constant sigma")
-    rows = _map_replicates(config, _row_marginal, range(config.reps))
+    rows, failures = _map_replicates(config, _row_marginal, range(config.reps))
     u = _columns(rows, "U")
-    truncated = int(_columns(rows, "truncated").sum())
-    u = u[np.isfinite(u)]
     params = increment_law.IncrementLawParams(config.sigma, config.n)
     ks = ks_statistic(u, lambda q: increment_law.marginal_cdf(q, params))
     ks_threshold = 2.0 / math.sqrt(len(u))       # 1.5x the 5% critical value
@@ -428,7 +434,7 @@ def _marginal(config: ExperimentConfig) -> tuple:
 
     aggregate = {
         "ks": ks, "pooled_abs_moment": pooled, "exact_abs_moment": exact,
-        "pooled_se": pooled_se, "frac_nonpositive": frac_neg, "truncated": truncated,
+        "pooled_se": pooled_se, "frac_nonpositive": frac_neg, "truncated": len(failures),
     }
     verdicts = [
         Verdict("marginal_ks", ks, ks_threshold),
@@ -444,7 +450,9 @@ def _facts(config: ExperimentConfig) -> tuple:
     if config.model != "br":
         raise ValueError("distributional facts require model 'br'")
     reps = config.reps
-    rows = _map_replicates(config, _row_facts, range(reps))
+    rows, failures = _map_replicates(config, _row_facts, range(reps))
+    if failures:
+        raise failures[0]
 
     log_eta_03 = _columns(rows, "log_eta_03")
     eta_03 = np.exp(log_eta_03)
@@ -519,7 +527,9 @@ def _h_recovery(config: ExperimentConfig) -> tuple:
         raise ValueError("estimate_h experiment requires model 'br'")
     if config.window == 0:
         raise ValueError("estimate_h experiment requires a window")
-    rows = _map_replicates(config, _row_h_recovery, range(config.reps))
+    rows, failures = _map_replicates(config, _row_h_recovery, range(config.reps))
+    if failures:
+        raise failures[0]
     mae = _columns(rows, "mae")
     mean_mae = float(mae.mean())
     aggregate = {"mean_interior_mae": mean_mae}

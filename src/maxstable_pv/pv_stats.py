@@ -37,6 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import gauss_kernels
+from .gauss_kernels import _check_order
 from .path_sim import GridPath, MaxStablePath
 from .quadrature import QuadratureConfig
 
@@ -49,12 +50,6 @@ __all__ = [
     "full_window_slice",
     "lambda_phi_unit",
 ]
-
-
-def _check_order(p) -> int:
-    if not (isinstance(p, (int, np.integer)) and p >= 1):
-        raise ValueError(f"order p must be a positive integer, got {p!r}")
-    return int(p)
 
 
 def power_variation(path: GridPath, p: int, t: float) -> float:

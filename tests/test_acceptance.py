@@ -7,15 +7,14 @@ Criterion 7's disagreement clause is asserted as written and is expected
 red: the mean absolute gap between the kernel and Tanaka local-time
 estimators at n = 2^16 has an empirical floor near 0.074 (both estimators
 carry the canonical n^{-1/4} error, 1/16 here), minimized over the kernel
-halfwidth; the 0.05 bound sits 1.5x below that floor.  See the
-criterion-7 numbers in item 4 of ROADMAP.md for the sweep.
+halfwidth; the 0.05 bound sits 1.5x below that floor.  CHANGES.md
+records the criterion-7 numbers of that sweep.
 """
 
 import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -169,25 +168,19 @@ def test_criterion_06_clt_suite():
     assert all(checks)
 
 
-def _criterion_07_row(r):
-    _, diff = sample_max_two_bm(Grid(2 ** 16), replicate_rng(MASTER_SEED, r))
+def _criterion_07_row(cfg, r):
+    _, diff = sample_max_two_bm(Grid(cfg.n), replicate_rng(cfg.master_seed, r))
     return pv_stats.local_time_kernel(diff, 1.0, 2.0), pv_stats.local_time_tanaka(diff, 1.0)
-
-
-def _criterion_07_estimates():
-    # replicate r draws from its own stream, so the pool changes no number
-    reps = 10_000
-    workers = mh._resolve_workers()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(_criterion_07_row, range(reps),
-                             chunksize=max(1, reps // (workers * 8))))
-    kern, tank = (np.array(col) for col in zip(*rows))
-    return kern, tank
 
 
 @pytest.fixture(scope="module")
 def local_time_estimates():
-    return _criterion_07_estimates()
+    # replicate r draws from its own stream, so the pool changes no number
+    cfg = mh.ExperimentConfig(experiment="lln", model="max2bm", n=2 ** 16,
+                              reps=10_000, master_seed=MASTER_SEED)
+    rows, _ = mh._map_replicates(cfg, _criterion_07_row, range(cfg.reps))
+    kern, tank = (np.array(col) for col in zip(*rows))
+    return kern, tank
 
 
 def test_criterion_07_local_time_means(local_time_estimates):

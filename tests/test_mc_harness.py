@@ -143,7 +143,12 @@ def test_run_marginal_increment_small():
     assert report.passed, report.aggregate
 
 
-def test_marginal_increment_counts_truncated_replicates(monkeypatch):
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("experiment", ["lln", "clt", "marginal_increment"])
+def test_truncated_replicates_are_counted(monkeypatch, experiment):
     # one worker maps the replicates in index order, so the stub's third
     # call is replicate 2
     real = mh.sample_brown_resnick
@@ -158,12 +163,35 @@ def test_marginal_increment_counts_truncated_replicates(monkeypatch):
 
     monkeypatch.setattr(mh, "sample_brown_resnick", truncate_replicate_2)
     monkeypatch.setenv("MAXSTABLE_PV_THREADS", "1")
-    cfg = ExperimentConfig(experiment="marginal_increment", model="br", p=2,
+    cfg = ExperimentConfig(experiment=experiment, model="br", p=2,
                            n=64, reps=16, sigma=1.0, master_seed=3)
     report = mh.run_experiment(cfg)
     assert len(calls) == 16
     assert report.aggregate["truncated"] == 1
-    assert len(report.per_replicate["U"]) == 15
+    assert report.per_replicate
+    for column in report.per_replicate.values():
+        assert len(column) == 15
+    json.loads(report.to_json(), parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("experiment, extra", [
+    ("lln", []), ("clt", []), ("marginal_increment", []), ("frechet", []),
+    ("estimate_h", ["--window", "16"]),
+], ids=("lln", "clt", "marginal_increment", "frechet", "estimate_h"))
+def test_all_truncated_exits_3(monkeypatch, tmp_path, capsys, experiment, extra):
+    real = mh.sample_brown_resnick
+
+    def always_truncate(*args, **kwargs):
+        raise TruncationError("atom budget exhausted", real(*args, **kwargs))
+
+    monkeypatch.setattr(mh, "sample_brown_resnick", always_truncate)
+    monkeypatch.setenv("MAXSTABLE_PV_THREADS", "1")
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--experiment", experiment, "--model", "br",
+                     "--n", "64", "--reps", "4", "--sigma", "1.0", *extra,
+                     "--out", str(out)]) == cli.EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_distributional_facts_small():
