@@ -13,6 +13,13 @@ running under a process pool) cannot change any aggregate.  The worker
 count is capped by the MAXSTABLE_PV_THREADS environment variable
 (0 or unset = machine default).
 
+An ExperimentConfig resolves H once, into ``config.volatility``: ``sigma``
+and a constant ``h_spec`` give the same spec, and max2bm is the constant-1
+case.  It checks every precondition of its experiment as well (frechet,
+marginal_increment and estimate_h need model br; marginal_increment and
+moment_bias need constant H; estimate_h needs a window), so a bad config
+raises ValueError (CLI exit 2) before any replicate is drawn.
+
 A replicate whose atom budget runs out (TruncationError) is dropped by
 ``_map_replicates`` alone: the lln, clt and marginal_increment aggregates
 count the dropped replicates as ``truncated`` and use the rest; frechet and
@@ -100,13 +107,27 @@ class ExperimentConfig:
             raise ValueError(f"n must be a power of two >= 2, got {self.n}")
         if not 0.0 < self.t_eval <= 1.0:
             raise ValueError(f"t_eval must lie in (0, 1], got {self.t_eval}")
+        if self.model == "max2bm" and (self.h_spec is not None or self.sigma not in (None, 1.0)):
+            raise ValueError("model 'max2bm' has unit volatility: give no h_spec and "
+                             f"sigma 1 or null, got sigma={self.sigma!r}")
         if self.model == "br" and (self.sigma is None) == (self.h_spec is None):
             raise ValueError("model 'br' needs exactly one of sigma / h_spec")
-
-    def volatility(self) -> VolatilitySpec:
-        if self.h_spec is not None:
-            return VolatilitySpec.from_dict(self.h_spec)
-        return VolatilitySpec.constant(self.sigma)
+        if self.h_spec is None:
+            vol = VolatilitySpec.constant(1.0 if self.model == "max2bm" else self.sigma)
+        else:
+            try:
+                vol = VolatilitySpec.from_dict(self.h_spec)
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"malformed h_spec {self.h_spec!r}: {exc!r}") from exc
+        # an attribute, not a field: the report's config and hash stay as given
+        object.__setattr__(self, "volatility", vol)
+        if self.model != "br" and self.experiment in ("frechet", "marginal_increment",
+                                                      "estimate_h"):
+            raise ValueError(f"{self.experiment} requires model 'br'")
+        if vol.kind != "constant" and self.experiment in ("marginal_increment", "moment_bias"):
+            raise ValueError(f"{self.experiment} requires a constant volatility")
+        if self.experiment == "estimate_h" and self.window == 0:
+            raise ValueError("estimate_h requires a window")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -212,7 +233,7 @@ def _resolve_workers() -> int:
 
 def _simulate_br(cfg: ExperimentConfig, index: int) -> MaxStablePath:
     rng = replicate_rng(cfg.master_seed, index)
-    return sample_brown_resnick(cfg.volatility(), Grid(cfg.n), rng, cfg.epsilon)
+    return sample_brown_resnick(cfg.volatility, Grid(cfg.n), rng, cfg.epsilon)
 
 
 def _row_lln(cfg: ExperimentConfig, index: int) -> dict:
@@ -241,7 +262,7 @@ def _row_clt(cfg: ExperimentConfig, index: int) -> dict:
             log_r=np.zeros(2),
             z=np.stack([w1, w1 + diff.values]),
             truncation_diag=TruncationDiagnostics(2, math.inf, cfg.epsilon),
-            vol=VolatilitySpec.constant(1.0),
+            vol=cfg.volatility,
             retain_margin=math.inf,
         )
         via_pairs = pv_stats.clt_bias_functional(synthetic, p, t, cfg.halfwidth)
@@ -251,12 +272,7 @@ def _row_clt(cfg: ExperimentConfig, index: int) -> dict:
     target = gauss_kernels.abs_moment(p) * vol.integrated_power(p, 0.0, t)
     b_val = pv_stats.power_variation(ms.log_eta, p, t)
     s_val = math.sqrt(n) * (b_val - target)
-    if ms.z.shape[0] >= 2:
-        bhat = pv_stats.clt_bias_functional(ms, p, t, cfg.halfwidth)
-    else:
-        # a single atom within the retain margin of the max: no pair can be
-        # simultaneously near-tied and on top, so the functional vanishes
-        bhat = 0.0
+    bhat = pv_stats.clt_bias_functional(ms, p, t, cfg.halfwidth)
     return {"S": s_val, "x": bhat, "bhat": bhat, "route_gap": 0.0}
 
 
@@ -264,7 +280,7 @@ def _row_marginal(cfg: ExperimentConfig, index: int) -> dict:
     ms = _simulate_br(cfg, index)
     i0 = cfg.n // 2
     du = ms.log_eta.values[i0] - ms.log_eta.values[i0 - 1]
-    return {"U": math.sqrt(cfg.n) / cfg.sigma * du}
+    return {"U": math.sqrt(cfg.n) / cfg.volatility.sigma * du}
 
 
 def _row_facts(cfg: ExperimentConfig, index: int) -> dict:
@@ -288,7 +304,7 @@ def _row_h_recovery(cfg: ExperimentConfig, index: int) -> dict:
     ms = _simulate_br(cfg, index)
     h_hat = pv_stats.estimate_h(ms.log_eta, cfg.p, cfg.window)
     interior = pv_stats.full_window_slice(cfg.n, cfg.window)
-    truth = cfg.volatility().value(ms.grid.times[interior])
+    truth = cfg.volatility.value(ms.grid.times[interior])
     mae = float(np.mean(np.abs(h_hat.values[interior] - truth)))
     return {"mae": mae}
 
@@ -331,15 +347,13 @@ def _columns(rows: list, key: str) -> np.ndarray:
 
 def _lln_target_and_allowance(cfg: ExperimentConfig):
     p, t, n = cfg.p, cfg.t_eval, cfg.n
-    mp = gauss_kernels.abs_moment(p)
+    vol = cfg.volatility
+    target = gauss_kernels.abs_moment(p) * vol.integrated_power(p, 0.0, t)
     if cfg.model == "max2bm":
-        target = mp * t
         bias = abs(pv_stats.lambda_phi_unit(p)) * math.sqrt(t / math.pi)
     else:
         # each increment carries a moment bias J_p * H / sqrt(n) on the
         # normalized scale, so the B-level shift integrates H^{p+1}
-        vol = cfg.volatility()
-        target = mp * vol.integrated_power(p, 0.0, t)
         bias = abs(gauss_kernels.bias_integral(p)) * vol.integrated_power(p + 1, 0.0, t)
     m = Grid(n).last_increment(t)
     floor_deficit = target * (n * t - (m - 1)) / (n * t)
@@ -383,12 +397,8 @@ def _clt(config: ExperimentConfig) -> tuple:
 
     m2p = gauss_kernels.abs_moment(2 * p)
     mp = gauss_kernels.abs_moment(p)
-    if config.model == "max2bm":
-        cond_var = (m2p - mp ** 2) * t
-        slope_target = 0.5 * pv_stats.lambda_phi_unit(p)
-    else:
-        cond_var = (m2p - mp ** 2) * config.volatility().integrated_power(2 * p, 0.0, t)
-        slope_target = 1.0
+    cond_var = (m2p - mp ** 2) * config.volatility.integrated_power(2 * p, 0.0, t)
+    slope_target = 0.5 * pv_stats.lambda_phi_unit(p) if config.model == "max2bm" else 1.0
     ks = ks_statistic(resid / math.sqrt(cond_var), ndtr)
 
     aggregate = {
@@ -399,14 +409,14 @@ def _clt(config: ExperimentConfig) -> tuple:
         "truncated": len(failures),
         "route_gap_max": float(np.max(_columns(rows, "route_gap"))),
     }
-    # verdict set per model: the regression slope is pinned for max2bm and
-    # constant volatility, Gaussianity of residuals for max2bm only; the
-    # remaining diagnostics stay in the aggregate
+    # the regression slope is pinned under constant volatility (max2bm
+    # included), Gaussianity of residuals for max2bm only; the remaining
+    # diagnostics stay in the aggregate
     slope_tol = 0.10 if config.model == "max2bm" else 0.15
     verdicts = [
         Verdict(f"clt_{config.model}_resid_var", abs(resid_var - cond_var), 0.10 * cond_var),
     ]
-    if config.model == "max2bm" or config.h_spec is None:
+    if config.volatility.kind == "constant":
         verdicts.insert(0, Verdict(f"clt_{config.model}_slope", abs(float(slope) - slope_target),
                                    slope_tol * abs(slope_target)))
     if config.model == "max2bm":
@@ -417,11 +427,9 @@ def _clt(config: ExperimentConfig) -> tuple:
 
 def _marginal(config: ExperimentConfig) -> tuple:
     """Pooled mid-path normalized increments against the exact marginal law."""
-    if config.model != "br" or config.sigma is None:
-        raise ValueError("marginal_increment requires model 'br' with constant sigma")
     rows, failures = _map_replicates(config, _row_marginal, range(config.reps))
     u = _columns(rows, "U")
-    params = increment_law.IncrementLawParams(config.sigma, config.n)
+    params = increment_law.IncrementLawParams(config.volatility.sigma, config.n)
     ks = ks_statistic(u, lambda q: increment_law.marginal_cdf(q, params))
     ks_threshold = 2.0 / math.sqrt(len(u))       # 1.5x the 5% critical value
 
@@ -447,8 +455,6 @@ def _marginal(config: ExperimentConfig) -> tuple:
 def _facts(config: ExperimentConfig) -> tuple:
     """Frechet marginal, Gumbel log-marginal, k=5 max-stability, and two-time
     stationarity, each with its own verdict."""
-    if config.model != "br":
-        raise ValueError("distributional facts require model 'br'")
     reps = config.reps
     rows, failures = _map_replicates(config, _row_facts, range(reps))
     if failures:
@@ -502,7 +508,7 @@ def _moment_bias(config: ExperimentConfig) -> tuple:
     sigma/sqrt(n)).
     """
     p = config.p
-    sigma = config.sigma if config.sigma is not None else 1.0
+    sigma = config.volatility.sigma
     cfg_q = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12)
     limit = sigma * gauss_kernels.bias_integral(p, cfg_q)
     mp = gauss_kernels.abs_moment(p)
@@ -523,10 +529,6 @@ def _moment_bias(config: ExperimentConfig) -> tuple:
 
 def _h_recovery(config: ExperimentConfig) -> tuple:
     """Localized volatility recovery through the power-variation LLN."""
-    if config.model != "br":
-        raise ValueError("estimate_h experiment requires model 'br'")
-    if config.window == 0:
-        raise ValueError("estimate_h experiment requires a window")
     rows, failures = _map_replicates(config, _row_h_recovery, range(config.reps))
     if failures:
         raise failures[0]

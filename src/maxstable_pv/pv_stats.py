@@ -115,7 +115,8 @@ def clt_bias_functional(ms_path: MaxStablePath, p: int, t: float,
     if halfwidth <= 0:
         raise ValueError(f"halfwidth must be positive, got {halfwidth}")
     if ms_path.z.shape[0] < 2:
-        raise ValueError("bias functional needs at least 2 retained atoms")
+        # a lone retained atom forms no pair, so the pair sum is empty
+        return 0.0
     grid = ms_path.grid
     n = grid.n
     thr = halfwidth / math.sqrt(n)

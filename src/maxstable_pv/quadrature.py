@@ -53,17 +53,11 @@ _WG[1:-1:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budgets shared by every quadrature-backed operation.
-
-    tail_cutoff is the half-width, in standard deviations, at which
-    Gaussian-weighted integrands are truncated; the default 8 leaves
-    mass below 1e-15 outside the window.
-    """
+    """Tolerances and budgets shared by every quadrature-backed operation."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-8
     max_subdivisions: int = 1024
-    tail_cutoff: float = 8.0
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and np.isfinite(self.abs_tol)):
@@ -72,8 +66,6 @@ class QuadratureConfig:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be a positive integer")
-        if self.tail_cutoff < 6:
-            raise ValueError(f"tail_cutoff must be >= 6, got {self.tail_cutoff}")
 
     def tolerance(self, value_scale: float) -> float:
         return max(self.abs_tol, self.rel_tol * abs(value_scale))

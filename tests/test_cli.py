@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from maxstable_pv import cli, pv_stats
+from maxstable_pv import cli, mc_harness, pv_stats
 from maxstable_pv.path_sim import Grid, VolatilitySpec, replicate_rng, sample_brown_resnick
 
 
@@ -160,17 +160,42 @@ def test_verify_requires_experiment(capsys):
     assert run_cli("verify") == 2
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["--experiment", "marginal_increment", "--model", "max2bm"],
+_POWER_LAW = {"form": "power_law", "a": 1.0, "b": 1.0, "gamma": 1.0}
+
+
+@pytest.mark.parametrize("argv, file_cfg, message", [
+    (["--experiment", "marginal_increment", "--model", "max2bm"], None,
      "marginal_increment requires model 'br'"),
-    (["--experiment", "frechet", "--model", "max2bm"],
-     "distributional facts require model 'br'"),
-    (["--experiment", "estimate_h"], "requires a window"),
-], ids=("marginal-max2bm", "frechet-max2bm", "estimate_h-no-window"))
-def test_verify_runner_preconditions_exit_2(argv, message, capsys):
-    # each config is valid; the experiment itself refuses it before simulating
-    assert run_cli("verify", *argv) == 2
+    (["--experiment", "frechet", "--model", "max2bm"], None,
+     "frechet requires model 'br'"),
+    (["--experiment", "estimate_h"], None, "requires a window"),
+    (["--experiment", "lln", "--model", "max2bm", "--sigma", "2"], None,
+     "model 'max2bm' has unit volatility"),
+    ([], {"experiment": "lln", "model": "max2bm", "sigma": None,
+          "h_spec": {"form": "constant", "sigma": 1.0}},
+     "model 'max2bm' has unit volatility"),
+    ([], {"experiment": "lln", "sigma": None, "h_spec": {"form": "power_law", "a": 1.0}},
+     "malformed h_spec"),
+    ([], {"experiment": "moment_bias", "sigma": None, "h_spec": _POWER_LAW},
+     "moment_bias requires a constant volatility"),
+    ([], {"experiment": "marginal_increment", "sigma": None, "h_spec": _POWER_LAW},
+     "marginal_increment requires a constant volatility"),
+], ids=("marginal-max2bm", "frechet-max2bm", "estimate_h-no-window", "max2bm-sigma2",
+        "max2bm-h_spec", "malformed-h_spec", "moment_bias-power", "marginal-power"))
+def test_verify_runner_preconditions_exit_2(argv, file_cfg, message, tmp_path,
+                                            monkeypatch, capsys):
+    # each config breaks a precondition of its experiment or model; building
+    # the config refuses it, before any replicate is drawn or report written
+    monkeypatch.setattr(mc_harness, "_map_replicates",
+                        lambda *a: pytest.fail("a replicate was drawn"))
+    if file_cfg is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_cfg))
+        argv = ["--config", str(cfg), *argv]
+    out = tmp_path / "report.json"
+    assert run_cli("verify", *argv, "--out", str(out)) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

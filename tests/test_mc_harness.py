@@ -61,7 +61,7 @@ def test_config_validation():
     cfg = ExperimentConfig(**{**good, "sigma": None,
                               "h_spec": {"form": "power_law", "a": 1.0, "b": 1.0,
                                          "gamma": 1.0}})
-    assert cfg.volatility().kind == "power_law"
+    assert cfg.volatility.kind == "power_law"
 
 
 def test_config_roundtrip_and_hash():
@@ -93,6 +93,25 @@ def test_worker_resolution(monkeypatch, capsys):
                   "--n", "256", "--reps", "2"]):
         assert cli.main(["verify", *argv]) == cli.EXIT_USAGE
         assert "MAXSTABLE_PV_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, p", [("clt", 2), ("marginal_increment", 2),
+                                           ("moment_bias", 1)])
+def test_constant_h_spec_runs_as_sigma(monkeypatch, experiment, p):
+    # a constant h_spec and sigma name one volatility, so every experiment
+    # produces the same numbers and the same verdicts from either
+    monkeypatch.setenv("MAXSTABLE_PV_THREADS", "1")
+    base = dict(experiment=experiment, p=p, n=256, reps=8, master_seed=3)
+    by_sigma = mh.run_experiment(ExperimentConfig(**base, sigma=2.0))
+    by_spec = mh.run_experiment(ExperimentConfig(
+        **base, sigma=None, h_spec={"form": "constant", "sigma": 2.0}))
+    assert by_spec.per_replicate == by_sigma.per_replicate
+    assert by_spec.aggregate == by_sigma.aggregate
+    assert [v.name for v in by_spec.verdicts] == [v.name for v in by_sigma.verdicts]
+    if experiment == "moment_bias":
+        # sigma * J_1 at sigma = 2; J_1 matches -1/(2 pi) to 1e-14
+        assert by_spec.aggregate["bias_integral_limit"] == pytest.approx(-1.0 / math.pi,
+                                                                         abs=1e-5)
 
 
 def test_run_lln_max2bm_small():

@@ -134,8 +134,8 @@ def test_bias_functional_needs_two_atoms():
     path = _two_atom_path(grid, np.zeros(65), np.ones(65))
     lone = MaxStablePath(path.log_eta, path.log_r[:1], path.z[:1],
                          path.truncation_diag, path.vol, path.retain_margin)
-    with pytest.raises(ValueError):
-        pv_stats.clt_bias_functional(lone, 2, 1.0, 1.0)
+    # a lone retained atom forms no pair: the functional is zero, not an error
+    assert pv_stats.clt_bias_functional(lone, 2, 1.0, 1.0) == 0.0
 
 
 def test_bias_functional_zero_when_one_atom_dominates():

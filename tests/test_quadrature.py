@@ -20,8 +20,6 @@ def test_config_validation():
         QuadratureConfig(rel_tol=-1.0)
     with pytest.raises(ValueError):
         QuadratureConfig(max_subdivisions=0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(tail_cutoff=4.0)
 
 
 def test_gaussian_mass():
