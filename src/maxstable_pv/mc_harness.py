@@ -17,8 +17,9 @@ An ExperimentConfig resolves H once, into ``config.volatility``: ``sigma``
 and a constant ``h_spec`` give the same spec, and max2bm is the constant-1
 case.  It checks every precondition of its experiment as well (frechet,
 marginal_increment and estimate_h need model br; marginal_increment and
-moment_bias need constant H; estimate_h needs a window), so a bad config
-raises ValueError (CLI exit 2) before any replicate is drawn.
+moment_bias need constant H), and runs the library's own range checks on
+epsilon, halfwidth and the estimate_h window, so a bad config raises
+ValueError (CLI exit 2) before any replicate is drawn.
 
 A replicate whose atom budget runs out (TruncationError) is dropped by
 ``_map_replicates`` alone: the lln, clt and marginal_increment aggregates
@@ -55,11 +56,13 @@ from scipy.special import ndtr
 
 from . import gauss_kernels, increment_law, pv_stats
 from .path_sim import (
+    RETAIN_MARGIN,
     Grid,
     MaxStablePath,
     TruncationDiagnostics,
     TruncationError,
     VolatilitySpec,
+    check_epsilon,
     replicate_rng,
     sample_brown_resnick,
     sample_max_two_bm,
@@ -126,8 +129,14 @@ class ExperimentConfig:
             raise ValueError(f"{self.experiment} requires model 'br'")
         if vol.kind != "constant" and self.experiment in ("marginal_increment", "moment_bias"):
             raise ValueError(f"{self.experiment} requires a constant volatility")
-        if self.experiment == "estimate_h" and self.window == 0:
-            raise ValueError("estimate_h requires a window")
+        # the library's own range checks, so that they fail before the pool
+        if self.model == "br":
+            check_epsilon(self.epsilon)
+        if self.experiment == "clt":
+            pv_stats.check_halfwidth(self.halfwidth, self.n,
+                                     RETAIN_MARGIN if self.model == "br" else math.inf)
+        if self.experiment == "estimate_h":
+            pv_stats.check_window(self.window, self.n)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -269,7 +278,7 @@ def _row_clt(cfg: ExperimentConfig, index: int) -> dict:
         return {"S": s_val, "x": lt, "bhat": bhat, "route_gap": abs(via_pairs - bhat)}
     ms = _simulate_br(cfg, index)
     vol = ms.vol
-    target = gauss_kernels.abs_moment(p) * vol.integrated_power(p, 0.0, t)
+    target = gauss_kernels.abs_moment(p) * vol.integrated_power(p, t)
     b_val = pv_stats.power_variation(ms.log_eta, p, t)
     s_val = math.sqrt(n) * (b_val - target)
     bhat = pv_stats.clt_bias_functional(ms, p, t, cfg.halfwidth)
@@ -348,13 +357,13 @@ def _columns(rows: list, key: str) -> np.ndarray:
 def _lln_target_and_allowance(cfg: ExperimentConfig):
     p, t, n = cfg.p, cfg.t_eval, cfg.n
     vol = cfg.volatility
-    target = gauss_kernels.abs_moment(p) * vol.integrated_power(p, 0.0, t)
+    target = gauss_kernels.abs_moment(p) * vol.integrated_power(p, t)
     if cfg.model == "max2bm":
         bias = abs(pv_stats.lambda_phi_unit(p)) * math.sqrt(t / math.pi)
     else:
         # each increment carries a moment bias J_p * H / sqrt(n) on the
         # normalized scale, so the B-level shift integrates H^{p+1}
-        bias = abs(gauss_kernels.bias_integral(p)) * vol.integrated_power(p + 1, 0.0, t)
+        bias = abs(gauss_kernels.bias_integral(p)) * vol.integrated_power(p + 1, t)
     m = Grid(n).last_increment(t)
     floor_deficit = target * (n * t - (m - 1)) / (n * t)
     return target, bias / math.sqrt(n) + floor_deficit
@@ -397,7 +406,7 @@ def _clt(config: ExperimentConfig) -> tuple:
 
     m2p = gauss_kernels.abs_moment(2 * p)
     mp = gauss_kernels.abs_moment(p)
-    cond_var = (m2p - mp ** 2) * config.volatility.integrated_power(2 * p, 0.0, t)
+    cond_var = (m2p - mp ** 2) * config.volatility.integrated_power(2 * p, t)
     slope_target = 0.5 * pv_stats.lambda_phi_unit(p) if config.model == "max2bm" else 1.0
     ks = ks_statistic(resid / math.sqrt(cond_var), ndtr)
 

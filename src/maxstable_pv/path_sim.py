@@ -7,7 +7,9 @@ spectral processes are exponential martingales
 
 with deterministic volatility H, so each grid increment of the stochastic
 integral is exactly Gaussian with variance int H^2 over the step: paths are
-sampled without any Euler discretization error.
+sampled without any Euler discretization error.  Every H-dependent number
+is some int_0^t H_s^p ds, whose one route is VolatilitySpec.integrated_power;
+the sampler takes its step variances, drift and Sigma from one such array.
 
 The max-stable process is the pointwise maximum eta = max_i R_i V_i over a
 Poisson point process (R_i) with mean measure dr/r^2, realized through the
@@ -59,6 +61,8 @@ __all__ = [
     "sample_max_two_bm",
     "sample_brown_resnick",
     "replicate_rng",
+    "check_epsilon",
+    "RETAIN_MARGIN",
 ]
 
 _BLOCK_SIZE = 64        # atoms per block; fixes the draw order of sample_brown_resnick
@@ -66,6 +70,7 @@ _TILE_ELEMS = 2 ** 16   # normals per row tile of a block; sets buffer sizes, ne
 # cap on the memory of one block whose 64 rows are all kept: their copies plus
 # as much again when the kept rows are concatenated; allows n up to 2^19 - 1
 _MAX_BLOCK_BYTES = 512 * 2 ** 20
+RETAIN_MARGIN = 1.0     # sampler default; bounds halfwidth/sqrt(n) (pv_stats.check_halfwidth)
 
 
 def replicate_rng(master_seed: int, replicate_index: int) -> np.random.Generator:
@@ -114,11 +119,13 @@ class GridPath:
 
 
 class VolatilitySpec:
-    """Deterministic volatility H on [0, 1] with exact integral formulas.
+    """Deterministic volatility H on [0, 1] with one exact integral.
 
     Three forms: constant sigma, power law a + b s^gamma, and a tabulated
     function with linear interpolation.  H must be positive on [0, 1], and
-    the power-law exponent must exceed 1/2.
+    the power-law exponent must exceed 1/2.  ``value`` evaluates H, and
+    ``integrated_power(p, t)`` = int_0^t H^p ds is the only route to an
+    integral of it.
     """
 
     def __init__(self, kind: str, *, sigma=None, a=None, b=None, gamma=None,
@@ -185,75 +192,39 @@ class VolatilitySpec:
             out = np.interp(s, self.s_knots, self.h_knots)
         return float(out) if out.ndim == 0 else out
 
-    def variance_antiderivative(self, t):
-        """F(t) = int_0^t H_s^2 ds, exact for every form."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            out = self.sigma ** 2 * t
-        elif self.kind == "power_law":
-            a, b, g = self.a, self.b, self.gamma
-            out = (a * a * t
-                   + 2 * a * b * t ** (g + 1) / (g + 1)
-                   + b * b * t ** (2 * g + 1) / (2 * g + 1))
-        else:
-            out = self._table_prefix(t)
-        return float(out) if out.ndim == 0 else out
-
-    def _table_prefix(self, t: np.ndarray) -> np.ndarray:
-        s, h = self.s_knots, self.h_knots
-        slopes = np.diff(h) / np.diff(s)
-        # exact integral of (h_k + d (x - s_k))^2 over each full segment
-        seg = (h[:-1] ** 2 * np.diff(s)
-               + h[:-1] * slopes * np.diff(s) ** 2
-               + slopes ** 2 * np.diff(s) ** 3 / 3.0)
-        prefix = np.concatenate([[0.0], np.cumsum(seg)])
-        idx = np.clip(np.searchsorted(s, t, side="right") - 1, 0, len(s) - 2)
-        x = t - s[idx]
-        out = (prefix[idx] + h[idx] ** 2 * x
-               + h[idx] * slopes[idx] * x ** 2
-               + slopes[idx] ** 2 * x ** 3 / 3.0)
-        return out
-
-    def integrated_power(self, p: int, a: float, b: float) -> float:
-        """int_a^b H_s^p ds, exact for integer p >= 1."""
+    def integrated_power(self, p: int, t):
+        """int_0^t H_s^p ds, exact for integer p >= 1: a float for a scalar t
+        in [0, 1], an array for an array t.  The power law, and the table on
+        each segment (full ones prefix-summed), are c + d x^gamma, expanded
+        binomially by ``_binomial_integral``."""
         if not (isinstance(p, (int, np.integer)) and p >= 1):
             raise ValueError(f"integrated_power needs integer p >= 1, got {p!r}")
-        if not 0.0 <= a <= b <= 1.0:
-            raise ValueError(f"need 0 <= a <= b <= 1, got ({a}, {b})")
+        t = np.asarray(t, dtype=float)
+        if not np.all((t >= 0.0) & (t <= 1.0)):
+            raise ValueError(f"t must lie in [0, 1], got {t}")
         if self.kind == "constant":
-            return self.sigma ** p * (b - a)
-        if self.kind == "power_law":
-            aa, bb, g = self.a, self.b, self.gamma
-            tot = 0.0
-            for k in range(p + 1):
-                e = k * g + 1.0
-                tot += math.comb(p, k) * aa ** (p - k) * bb ** k * (b ** e - a ** e) / e
-            return tot
-        # table: (c + d x)^p integrates in closed form per linear segment
-        s, h = self.s_knots, self.h_knots
-        slopes = np.diff(h) / np.diff(s)
-        tot = 0.0
-        for k in range(len(s) - 1):
-            lo, hi = max(a, s[k]), min(b, s[k + 1])
-            if hi <= lo:
-                continue
-            c = h[k] + slopes[k] * (lo - s[k])
-            d = slopes[k]
-            if d == 0.0:
-                tot += c ** p * (hi - lo)
-            else:
-                tot += ((c + d * (hi - lo)) ** (p + 1) - c ** (p + 1)) / (d * (p + 1))
-        return float(tot)
+            out = self.sigma ** p * t
+        elif self.kind == "power_law":
+            # 0-d arrays: numpy squares them as a * a, where Python's a ** 2
+            # may round differently
+            out = _binomial_integral(np.asarray(self.a), np.asarray(self.b), t, p, self.gamma)
+        else:
+            s, h = self.s_knots, self.h_knots
+            ds = np.diff(s)
+            slopes = np.diff(h) / ds
+            prefix = np.concatenate([[0.0], np.cumsum(_binomial_integral(h[:-1], slopes, ds, p))])
+            idx = np.clip(np.searchsorted(s, t, side="right") - 1, 0, len(s) - 2)
+            out = _binomial_integral(h[idx], slopes[idx], t - s[idx], p, total=prefix[idx])
+        return float(out) if out.ndim == 0 else out
 
-    def step_standard_deviations(self, grid: Grid) -> np.ndarray:
-        """Exact per-step std of int H dW over each grid step."""
-        t = grid.times
-        f = self.variance_antiderivative(t)
-        return np.sqrt(np.diff(f))
 
-    def cumulative_drift(self, grid: Grid) -> np.ndarray:
-        """(1/2) int_0^{i/n} H_s^2 ds at each grid point."""
-        return 0.5 * self.variance_antiderivative(grid.times)
+def _binomial_integral(c, d, x, p: int, gamma: float = 1.0, total=0.0):
+    """total + int_0^x (c + d u^gamma)^p du, that is, total plus the terms
+    C(p, k) c^(p-k) d^k x^(k gamma + 1) / (k gamma + 1) in order k = 0..p."""
+    for k in range(p + 1):
+        e = k * gamma + 1.0
+        total = total + math.comb(p, k) * c ** (p - k) * d ** k * x ** e / e
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +310,16 @@ class MaxStablePath:
     def atoms(self) -> list:
         """The retained atoms as ``SpectralAtom`` objects, in generation order."""
         grid = self.grid
-        drift = self.vol.cumulative_drift(grid)
+        drift = 0.5 * self.vol.integrated_power(2, grid.times)
         return [SpectralAtom(log_r=lr, log_v_path=GridPath(grid, z - lr - drift),
                              z_path=GridPath(grid, z))
                 for lr, z in zip(self.log_r.tolist(), self.z)]
+
+
+def check_epsilon(epsilon: float) -> None:
+    """The stop rule's per-atom miss probability must lie in (0, 0.01]."""
+    if not (np.isfinite(epsilon) and 0.0 < epsilon <= 0.01):
+        raise ValueError(f"epsilon must lie in (0, 0.01], got {epsilon}")
 
 
 class TruncationError(RuntimeError):
@@ -360,7 +337,7 @@ class TruncationError(RuntimeError):
 
 def sample_brown_resnick(h: VolatilitySpec, grid: Grid, rng_stream,
                          epsilon: float, *, atom_budget: int = 1_000_000,
-                         retain_margin: float = 1.0) -> MaxStablePath:
+                         retain_margin: float = RETAIN_MARGIN) -> MaxStablePath:
     """Truncated-series simulation of the max-stable path eta = max R_i V_i.
 
     Atoms are generated in blocks of 64 so that shrinking epsilon (or
@@ -383,8 +360,7 @@ def sample_brown_resnick(h: VolatilitySpec, grid: Grid, rng_stream,
     capped at ``_MAX_BLOCK_BYTES``, and a larger n is rejected before any
     draw.
     """
-    if not (np.isfinite(epsilon) and 0.0 < epsilon <= 0.01):
-        raise ValueError(f"epsilon must lie in (0, 0.01], got {epsilon}")
+    check_epsilon(epsilon)
     if not (np.isfinite(retain_margin) and retain_margin > 0):
         raise ValueError(f"retain_margin must be positive and finite, got {retain_margin}")
     if not (isinstance(atom_budget, (int, np.integer)) and atom_budget >= 1):
@@ -394,9 +370,9 @@ def sample_brown_resnick(h: VolatilitySpec, grid: Grid, rng_stream,
     if block_bytes > _MAX_BLOCK_BYTES:
         raise ValueError(f"n={n} needs {block_bytes} bytes for one fully kept block, above "
                          f"the cap of {_MAX_BLOCK_BYTES} bytes")
-    step_sd = h.step_standard_deviations(grid)
-    total_var = float(h.variance_antiderivative(1.0))
-    q_eps = math.sqrt(total_var) * float(-ndtri(epsilon / 2.0))
+    variance = h.integrated_power(2, grid.times)     # Var of int_0^{i/n} H dW
+    step_sd = np.sqrt(np.diff(variance))
+    q_eps = math.sqrt(variance[-1]) * float(-ndtri(epsilon / 2.0))
 
     rows = max(1, min(_BLOCK_SIZE, _TILE_ELEMS // n))
     normals = np.empty((rows, n))
@@ -441,7 +417,7 @@ def sample_brown_resnick(h: VolatilitySpec, grid: Grid, rng_stream,
     z = np.concatenate(kept_z)
     keep = (z - run_max).max(axis=1) > -retain_margin
     path = MaxStablePath(
-        log_eta=GridPath(grid, run_max - h.cumulative_drift(grid)),
+        log_eta=GridPath(grid, run_max - 0.5 * variance),
         log_r=np.concatenate(kept_log_r)[keep],
         z=z[keep],
         truncation_diag=TruncationDiagnostics(

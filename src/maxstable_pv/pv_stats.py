@@ -49,7 +49,25 @@ __all__ = [
     "estimate_h",
     "full_window_slice",
     "lambda_phi_unit",
+    "check_halfwidth",
+    "check_window",
 ]
+
+
+def check_halfwidth(halfwidth: float, n: int, retain_margin: float = math.inf) -> None:
+    """h > 0, and h/sqrt(n) below the path's retain margin, or atoms that
+    near the top may have been discarded."""
+    if not halfwidth > 0:
+        raise ValueError(f"halfwidth must be positive, got {halfwidth}")
+    if halfwidth / math.sqrt(n) >= retain_margin:
+        raise ValueError(f"halfwidth/sqrt(n) = {halfwidth / math.sqrt(n):.3g} reaches the "
+                         f"retain margin {retain_margin}; near-top atoms may be missing")
+
+
+def check_window(window: int, n: int) -> None:
+    """The estimate_h window must be an integer in [16, n/4]."""
+    if not (isinstance(window, (int, np.integer)) and 16 <= window <= n // 4):
+        raise ValueError(f"estimate_h requires a window in [16, n/4], got {window!r}")
 
 
 def power_variation(path: GridPath, p: int, t: float) -> float:
@@ -65,9 +83,8 @@ def power_variation(path: GridPath, p: int, t: float) -> float:
 
 def local_time_kernel(path: GridPath, t: float, halfwidth: float) -> float:
     """Kernel-count estimate of L^0_t using g = 1_{[-h, h]} (lambda(g) = 2h)."""
-    if halfwidth <= 0:
-        raise ValueError(f"halfwidth must be positive, got {halfwidth}")
     n = path.grid.n
+    check_halfwidth(halfwidth, n)
     m = path.grid.last_increment(t)
     if m <= 1:
         return 0.0
@@ -112,18 +129,13 @@ def clt_bias_functional(ms_path: MaxStablePath, p: int, t: float,
     lambda(phi_{p,1}) H^{p+1} / (2 h sqrt(n)).
     """
     p = _check_order(p)
-    if halfwidth <= 0:
-        raise ValueError(f"halfwidth must be positive, got {halfwidth}")
+    grid = ms_path.grid
+    n = grid.n
+    check_halfwidth(halfwidth, n, ms_path.retain_margin)
     if ms_path.z.shape[0] < 2:
         # a lone retained atom forms no pair, so the pair sum is empty
         return 0.0
-    grid = ms_path.grid
-    n = grid.n
     thr = halfwidth / math.sqrt(n)
-    if thr >= ms_path.retain_margin:
-        raise ValueError(
-            f"halfwidth/sqrt(n) = {thr:.3g} reaches the "
-            f"retain margin {ms_path.retain_margin}; near-top atoms may be missing")
     lam1 = lambda_phi_unit(p)
     h_left = ms_path.vol.value(grid.times[:n])
     weights = lam1 * h_left ** (p + 1) / (2.0 * halfwidth * math.sqrt(n))
@@ -157,8 +169,7 @@ def estimate_h(path: GridPath, p: int, window: int) -> GridPath:
     """
     p = _check_order(p)
     n = path.grid.n
-    if not (isinstance(window, (int, np.integer)) and 16 <= window <= n // 4):
-        raise ValueError(f"window must be an integer in [16, n/4], got {window!r}")
+    check_window(window, n)
     powers = np.abs(np.diff(path.values)) ** p
     prefix = np.concatenate([[0.0], np.cumsum(powers)])
     half = window // 2

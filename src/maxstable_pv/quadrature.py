@@ -50,22 +50,21 @@ _WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
 _WG = np.zeros_like(_WGK)
 _WG[1:-1:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
+_MAX_SUBDIVISIONS = 1024    # panel budget of one adaptive_gauss_kronrod call
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budgets shared by every quadrature-backed operation."""
+    """Tolerances shared by every quadrature-backed operation."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-8
-    max_subdivisions: int = 1024
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and np.isfinite(self.abs_tol)):
             raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
         if not (self.rel_tol > 0 and np.isfinite(self.rel_tol)):
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be a positive integer")
 
     def tolerance(self, value_scale: float) -> float:
         return max(self.abs_tol, self.rel_tol * abs(value_scale))
@@ -125,7 +124,7 @@ def adaptive_gauss_kronrod(f, a: float, b: float, cfg: QuadratureConfig,
     smooth; they seed the initial panel edges.
 
     Raises QuadratureError (carrying the best estimate) if the budget of
-    ``cfg.max_subdivisions`` panels is exhausted first.
+    ``_MAX_SUBDIVISIONS`` panels is exhausted first.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("integration limits must be finite")
@@ -141,14 +140,11 @@ def adaptive_gauss_kronrod(f, a: float, b: float, cfg: QuadratureConfig,
         total_err = errs.sum(axis=0)
         scale = np.max(np.abs(np.atleast_1d(total)))
         tol = cfg.tolerance(scale)
+        best = QuadResult(total if total.ndim else float(total),
+                          total_err if total_err.ndim else float(total_err), len(lo))
         if np.max(np.atleast_1d(total_err)) <= tol:
-            squeeze = total if total.ndim else float(total)
-            err_out = total_err if total_err.ndim else float(total_err)
-            return QuadResult(squeeze, err_out, len(lo))
-        if len(lo) >= cfg.max_subdivisions:
-            best = QuadResult(total if total.ndim else float(total),
-                              total_err if total_err.ndim else float(total_err),
-                              len(lo))
+            return best
+        if len(lo) >= _MAX_SUBDIVISIONS:
             raise QuadratureError(
                 f"quadrature error {np.max(np.atleast_1d(total_err)):.3e} above "
                 f"tolerance {tol:.3e} after {len(lo)} panels", best)

@@ -180,8 +180,16 @@ _POWER_LAW = {"form": "power_law", "a": 1.0, "b": 1.0, "gamma": 1.0}
      "moment_bias requires a constant volatility"),
     ([], {"experiment": "marginal_increment", "sigma": None, "h_spec": _POWER_LAW},
      "marginal_increment requires a constant volatility"),
+    # the library's own range checks (sampler epsilon, kernel halfwidth,
+    # estimate_h window) run when the config is built
+    (["--experiment", "lln", "--epsilon", "0"], None, "epsilon must lie in (0, 0.01]"),
+    (["--experiment", "clt", "--halfwidth", "0"], None, "halfwidth must be positive"),
+    (["--experiment", "clt", "--n", "256", "--halfwidth", "100"], None,
+     "reaches the retain margin"),
+    (["--experiment", "estimate_h", "--window", "4"], None, "requires a window"),
 ], ids=("marginal-max2bm", "frechet-max2bm", "estimate_h-no-window", "max2bm-sigma2",
-        "max2bm-h_spec", "malformed-h_spec", "moment_bias-power", "marginal-power"))
+        "max2bm-h_spec", "malformed-h_spec", "moment_bias-power", "marginal-power",
+        "epsilon-0", "halfwidth-0", "halfwidth-100", "window-4"))
 def test_verify_runner_preconditions_exit_2(argv, file_cfg, message, tmp_path,
                                             monkeypatch, capsys):
     # each config breaks a precondition of its experiment or model; building

@@ -23,6 +23,7 @@ from maxstable_pv.path_sim import (
     sample_brownian,
     sample_max_two_bm,
 )
+from maxstable_pv.quadrature import QuadratureConfig, adaptive_gauss_kronrod
 
 
 def test_grid_and_path_validation():
@@ -48,7 +49,7 @@ def test_grid_and_path_validation():
 # ---------------------------------------------------------------------------
 
 def _integrated_variance(h: VolatilitySpec, a: float, b: float) -> float:
-    return float(h.variance_antiderivative(b) - h.variance_antiderivative(a))
+    return h.integrated_power(2, b) - h.integrated_power(2, a)
 
 
 def test_integrated_variance_constant():
@@ -70,10 +71,11 @@ def test_integrated_variance_table():
     h2 = VolatilitySpec.table([0.0, 0.5, 1.0], [1.0, 2.0, 1.0])
     exact = 2 * (0.5 + 2 * 0.5 ** 2 + 4 * 0.5 ** 3 / 3)   # c^2 x + c d x^2 + d^2 x^3 / 3
     assert _integrated_variance(h2, 0.0, 1.0) == pytest.approx(exact, abs=1e-12)
-    assert h2.integrated_power(2, 0.2, 0.9) == pytest.approx(
-        _integrated_variance(h2, 0.2, 0.9), abs=1e-12)
-    with pytest.raises(ValueError):
-        h.integrated_power(2, 0.7, 0.3)
+    for bad in (-0.1, 1.5, float("nan"), [0.0, 1.5]):
+        with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
+            h.integrated_power(2, bad)
+    with pytest.raises(ValueError, match="integer p >= 1"):
+        h.integrated_power(0, 1.0)
 
 
 def test_volatility_validation():
@@ -91,12 +93,52 @@ def test_volatility_validation():
 
 def test_integrated_power_closed_forms():
     h = VolatilitySpec.power_law(1.0, 1.0, 1.0)
-    assert h.integrated_power(2, 0.0, 1.0) == pytest.approx(7.0 / 3.0, abs=1e-14)
-    assert h.integrated_power(4, 0.0, 1.0) == pytest.approx(31.0 / 5.0, abs=1e-13)
+    assert h.integrated_power(2, 1.0) == pytest.approx(7.0 / 3.0, abs=1e-14)
+    assert h.integrated_power(4, 1.0) == pytest.approx(31.0 / 5.0, abs=1e-13)
     ht = VolatilitySpec.table([0.0, 1.0], [1.0, 2.0])
-    assert ht.integrated_power(2, 0.0, 1.0) == pytest.approx(7.0 / 3.0, abs=1e-12)
-    assert ht.integrated_power(2, 0.0, 1.0) == pytest.approx(
-        h.integrated_power(2, 0.0, 1.0), abs=1e-12)
+    assert ht.integrated_power(2, 1.0) == pytest.approx(7.0 / 3.0, abs=1e-12)
+    assert ht.integrated_power(2, 1.0) == pytest.approx(h.integrated_power(2, 1.0), abs=1e-12)
+    # a scalar t gives a float, an array t an array of the same shape
+    assert type(h.integrated_power(3, 0.5)) is float
+    assert h.integrated_power(3, np.array([0.0, 0.5])).shape == (2,)
+
+
+@st.composite
+def _volatilities(draw):
+    kind = draw(st.sampled_from(("constant", "power_law", "table")))
+    if kind == "constant":
+        return VolatilitySpec.constant(draw(st.floats(0.1, 10.0)))
+    if kind == "power_law":
+        a = draw(st.floats(0.1, 3.0))
+        return VolatilitySpec.power_law(a, draw(st.floats(-0.9 * a, 3.0)),
+                                        draw(st.floats(0.55, 4.0)))
+    # slopes near 1e-9 make the segments nearly flat, where differencing
+    # (c + d x)^(p+1) - c^(p+1) loses every digit the slope carries
+    inner = draw(st.lists(st.floats(0.01, 0.99), max_size=4, unique=True))
+    s = np.concatenate([[0.0], np.sort(inner), [1.0]])
+    h = [draw(st.floats(0.1, 10.0))]
+    for ds in np.diff(s):
+        slope = draw(st.sampled_from((1e-9, -1e-9, 3e-9)) | st.floats(-5.0, 5.0))
+        h.append(max(h[-1] + slope * ds, 0.1))
+    return VolatilitySpec.table(s, h)
+
+
+def _quadrature_oracle(vol: VolatilitySpec, p: int, t: float) -> float:
+    knots = vol.s_knots if vol.kind == "table" else ()
+    return adaptive_gauss_kronrod(lambda s: vol.value(s) ** p, 0.0, t,
+                                  QuadratureConfig(abs_tol=1e-300, rel_tol=1e-14),
+                                  breakpoints=knots).value
+
+
+@settings(max_examples=300, deadline=None)
+@given(vol=_volatilities(), p=st.integers(1, 8),
+       t=st.sampled_from((0.0, 1.0)) | st.floats(1e-6, 1.0)
+       | st.builds(lambda n: Grid(n).times, st.integers(2, 32)))
+def test_integrated_power_matches_quadrature(vol, p, t):
+    got = vol.integrated_power(p, t)
+    assert type(got) is (float if np.ndim(t) == 0 else np.ndarray)
+    want = np.array([_quadrature_oracle(vol, p, u) for u in np.atleast_1d(t)])
+    assert np.all(np.abs(np.atleast_1d(got) - want) <= 1e-12 * np.abs(want))
 
 
 def test_volatility_from_dict():
@@ -158,23 +200,25 @@ _VOLS = (VolatilitySpec.constant(1.5), VolatilitySpec.power_law(1.0, 1.0, 1.0),
 
 def test_spectral_log_is_mean_one_martingale():
     # log V_t = int_0^t H dW - (1/2) int_0^t H^2 ds is mean-one exactly when
-    # the drift is half the variance of the Gaussian part
+    # the drift is half the variance of the Gaussian part: the sampler takes
+    # both from one array F = int_0^{i/n} H^2, so F must start at 0, rise, and
+    # agree with its pointwise (scalar) evaluation
     grid = Grid(16)
     for vol in _VOLS:
-        drift = vol.cumulative_drift(grid)
-        assert drift[0] == 0.0
-        var = np.concatenate([[0.0], np.cumsum(vol.step_standard_deviations(grid) ** 2)])
-        assert np.allclose(drift, 0.5 * var, rtol=1e-13, atol=0.0)
-        assert np.array_equal(drift, 0.5 * vol.variance_antiderivative(grid.times))
+        var = vol.integrated_power(2, grid.times)
+        assert var[0] == 0.0
+        assert np.all(np.diff(var) > 0.0)
+        pointwise = [vol.integrated_power(2, t) for t in grid.times]
+        assert np.allclose(var, pointwise, rtol=1e-14, atol=0.0)
 
 
 def test_spectral_log_variance():
     # the per-step variances add up to Var log V_1 = int_0^1 H^2 ds
     grid = Grid(16)
     for vol in _VOLS:
-        total = float(np.sum(vol.step_standard_deviations(grid) ** 2))
-        assert total == pytest.approx(vol.variance_antiderivative(1.0), rel=1e-14)
-    assert float(np.sum(VolatilitySpec.constant(1.5).step_standard_deviations(grid) ** 2)) \
+        total = float(np.sum(np.diff(vol.integrated_power(2, grid.times))))
+        assert total == pytest.approx(vol.integrated_power(2, 1.0), rel=1e-14)
+    assert float(np.sum(np.diff(VolatilitySpec.constant(1.5).integrated_power(2, grid.times)))) \
         == pytest.approx(1.5 ** 2, rel=1e-14)
 
 
@@ -241,7 +285,7 @@ def test_br_bookkeeping_identity():
     grid = Grid(256)
     vol = VolatilitySpec.power_law(1.0, 1.0, 1.0)
     ms = sample_brown_resnick(vol, grid, replicate_rng(29, 0), 1e-3)
-    drift = vol.cumulative_drift(grid)
+    drift = 0.5 * vol.integrated_power(2, grid.times)
     z = np.stack([a.z_path.values for a in ms.atoms])
     # the atoms are built from the retained arrays, row for row
     assert np.array_equal(z, ms.z)
@@ -405,9 +449,9 @@ def _whole_block_oracle(h, grid, rng_stream, epsilon, atom_budget, retain_margin
     """Reference for the sampler's row tiles: the same loop with each 64-atom
     block drawn and processed whole.  Returns (path, truncated)."""
     n = grid.n
-    step_sd = h.step_standard_deviations(grid)
-    total_var = float(h.variance_antiderivative(1.0))
-    q_eps = math.sqrt(total_var) * float(-ndtri(epsilon / 2.0))
+    variance = h.integrated_power(2, grid.times)
+    step_sd = np.sqrt(np.diff(variance))
+    q_eps = math.sqrt(variance[-1]) * float(-ndtri(epsilon / 2.0))
 
     normals = np.empty((64, n))
     z_block = np.empty((64, n + 1))
@@ -443,7 +487,7 @@ def _whole_block_oracle(h, grid, rng_stream, epsilon, atom_budget, retain_margin
     z = np.concatenate(kept_z)
     keep = (z - run_max).max(axis=1) > -retain_margin
     path = MaxStablePath(
-        log_eta=GridPath(grid, run_max - h.cumulative_drift(grid)),
+        log_eta=GridPath(grid, run_max - 0.5 * variance),
         log_r=np.concatenate(kept_log_r)[keep],
         z=z[keep],
         truncation_diag=TruncationDiagnostics(

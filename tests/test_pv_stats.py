@@ -30,7 +30,7 @@ def _two_atom_path(grid: Grid, z1: np.ndarray, z2: np.ndarray,
     vol = vol or VolatilitySpec.constant(1.0)
     zmat = np.stack([z1, z2])
     return MaxStablePath(
-        log_eta=GridPath(grid, zmat.max(axis=0) - vol.cumulative_drift(grid)),
+        log_eta=GridPath(grid, zmat.max(axis=0) - 0.5 * vol.integrated_power(2, grid.times)),
         log_r=np.zeros(2),
         z=zmat,
         truncation_diag=TruncationDiagnostics(2, math.inf, 1e-3),
@@ -200,7 +200,7 @@ def test_bias_functional_matches_pair_loop(data, k, t, vol):
                                 min_size=k, max_size=k))
     zmat = np.asarray(levels, dtype=float) / 8.0
     ms = MaxStablePath(
-        log_eta=GridPath(grid, zmat.max(axis=0) - vol.cumulative_drift(grid)),
+        log_eta=GridPath(grid, zmat.max(axis=0) - 0.5 * vol.integrated_power(2, grid.times)),
         log_r=np.zeros(k),
         z=zmat,
         truncation_diag=TruncationDiagnostics(64, math.inf, 1e-3),

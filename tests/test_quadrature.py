@@ -18,8 +18,6 @@ def test_config_validation():
         QuadratureConfig(abs_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_subdivisions=0)
 
 
 def test_gaussian_mass():
@@ -53,7 +51,7 @@ def test_vector_valued_integrand():
 
 
 def test_unreachable_tolerance_raises_with_best_estimate():
-    cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30, max_subdivisions=64)
+    cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30)
     with pytest.raises(QuadratureError) as exc:
         adaptive_gauss_kronrod(lambda x: np.exp(np.sin(5 * x)), 0.0, 3.0, cfg)
     best = exc.value.best
@@ -62,7 +60,7 @@ def test_unreachable_tolerance_raises_with_best_estimate():
 
 
 def test_quadrature_error_pickles_with_its_best_estimate():
-    cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30, max_subdivisions=64)
+    cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30)
     with pytest.raises(QuadratureError) as exc:
         adaptive_gauss_kronrod(np.exp, 0.0, 3.0, cfg)
     copy = pickle.loads(pickle.dumps(exc.value))
@@ -74,7 +72,7 @@ def test_quadrature_error_pickles_with_its_best_estimate():
 def test_quadrature_error_crosses_a_process_pool():
     # a worker's quadrature failure must reach the parent as QuadratureError,
     # not as a BrokenProcessPool from a failed unpickle
-    cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30, max_subdivisions=64)
+    cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30)
     with pytest.raises(QuadratureError) as local:
         adaptive_gauss_kronrod(np.exp, 0.0, 3.0, cfg)
     ctx = multiprocessing.get_context("spawn")
