@@ -29,6 +29,7 @@ from .path_sim import (
     GridPath,
     TruncationError,
     VolatilitySpec,
+    check_epsilon,
     replicate_rng,
     sample_brown_resnick,
     sample_max_two_bm,
@@ -99,6 +100,10 @@ def _cmd_simulate(args) -> int:
     grid = Grid(args.n)
     if args.model == "br":
         vol = _load_h_spec(args.h_spec) if args.h_spec else VolatilitySpec.constant(args.sigma)
+        check_epsilon(args.epsilon)
+    elif args.h_spec or args.sigma != 1.0:
+        raise ValueError("model 'max2bm' has unit volatility: give no --h-spec and "
+                         f"--sigma 1, got sigma={args.sigma!r}")
     with _output(args.out) as fh:
         writer = csv.writer(fh)
         if args.model == "br":

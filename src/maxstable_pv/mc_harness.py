@@ -18,14 +18,13 @@ and a constant ``h_spec`` give the same spec, and max2bm is the constant-1
 case.  It checks every precondition of its experiment as well (frechet,
 marginal_increment and estimate_h need model br; marginal_increment and
 moment_bias need constant H), and runs the library's own range checks on
-epsilon, halfwidth and the estimate_h window, so a bad config raises
-ValueError (CLI exit 2) before any replicate is drawn.
+the order p, epsilon, halfwidth and the estimate_h window, so a bad config
+raises ValueError (CLI exit 2) before any replicate is drawn.
 
 A replicate whose atom budget runs out (TruncationError) is dropped by
-``_map_replicates`` alone: the lln, clt and marginal_increment aggregates
-count the dropped replicates as ``truncated`` and use the rest; frechet and
-estimate_h need every replicate and re-raise the first failure; and any run
-left with fewer than two completed replicates raises it too, which the CLI
+``_map_replicates`` alone, and every sampling experiment judges the rest and
+counts the dropped ones in its aggregate's ``truncated``; a run left with
+fewer than two completed replicates raises the first failure, which the CLI
 reports as a numerical failure (exit 3).
 
 Stable convergence in law cannot be tested directly; its measurable
@@ -59,7 +58,6 @@ from .path_sim import (
     RETAIN_MARGIN,
     Grid,
     MaxStablePath,
-    TruncationDiagnostics,
     TruncationError,
     VolatilitySpec,
     check_epsilon,
@@ -104,6 +102,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        gauss_kernels._check_order(self.p)
         if self.reps < 2:
             raise ValueError("reps must be >= 2")
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
@@ -254,35 +253,16 @@ def _row_lln(cfg: ExperimentConfig, index: int) -> dict:
 
 
 def _row_clt(cfg: ExperimentConfig, index: int) -> dict:
-    p, t, n = cfg.p, cfg.t_eval, cfg.n
+    """B and the bias regressor x: for max2bm the kernel local time of
+    W2 - W1, for br the pair bias functional."""
     if cfg.model == "max2bm":
-        lam1 = pv_stats.lambda_phi_unit(p)
-        grid = Grid(n)
-        mx, diff = sample_max_two_bm(grid, replicate_rng(cfg.master_seed, index))
-        b_val = pv_stats.power_variation(mx, p, t)
-        s_val = math.sqrt(n) * (b_val - gauss_kernels.abs_moment(p) * t)
-        lt = pv_stats.local_time_kernel(diff, t, cfg.halfwidth)
-        bhat = 0.5 * lam1 * lt
-        # the pair functional on a synthetic two-atom path must reduce to
-        # (lambda/2) * kernel local time of the difference
-        w1 = mx.values - np.maximum(diff.values, 0.0)
-        synthetic = MaxStablePath(
-            log_eta=mx,
-            log_r=np.zeros(2),
-            z=np.stack([w1, w1 + diff.values]),
-            truncation_diag=TruncationDiagnostics(2, math.inf, cfg.epsilon),
-            vol=cfg.volatility,
-            retain_margin=math.inf,
-        )
-        via_pairs = pv_stats.clt_bias_functional(synthetic, p, t, cfg.halfwidth)
-        return {"S": s_val, "x": lt, "bhat": bhat, "route_gap": abs(via_pairs - bhat)}
-    ms = _simulate_br(cfg, index)
-    vol = ms.vol
-    target = gauss_kernels.abs_moment(p) * vol.integrated_power(p, t)
-    b_val = pv_stats.power_variation(ms.log_eta, p, t)
-    s_val = math.sqrt(n) * (b_val - target)
-    bhat = pv_stats.clt_bias_functional(ms, p, t, cfg.halfwidth)
-    return {"S": s_val, "x": bhat, "bhat": bhat, "route_gap": 0.0}
+        path, diff = sample_max_two_bm(Grid(cfg.n), replicate_rng(cfg.master_seed, index))
+        x = pv_stats.local_time_kernel(diff, cfg.t_eval, cfg.halfwidth)
+    else:
+        ms = _simulate_br(cfg, index)
+        path = ms.log_eta
+        x = pv_stats.clt_bias_functional(ms, cfg.p, cfg.t_eval, cfg.halfwidth)
+    return {"B": pv_stats.power_variation(path, cfg.p, cfg.t_eval), "x": x}
 
 
 def _row_marginal(cfg: ExperimentConfig, index: int) -> dict:
@@ -354,10 +334,15 @@ def _columns(rows: list, key: str) -> np.ndarray:
 # experiment runners: each returns (per_replicate, aggregate, verdicts)
 # ---------------------------------------------------------------------------
 
+def _lln_target(cfg: ExperimentConfig) -> float:
+    """m_p * int_0^t H^p, the law-of-large-numbers limit of B(p)_t."""
+    return gauss_kernels.abs_moment(cfg.p) * cfg.volatility.integrated_power(cfg.p, cfg.t_eval)
+
+
 def _lln_target_and_allowance(cfg: ExperimentConfig):
     p, t, n = cfg.p, cfg.t_eval, cfg.n
     vol = cfg.volatility
-    target = gauss_kernels.abs_moment(p) * vol.integrated_power(p, t)
+    target = _lln_target(cfg)
     if cfg.model == "max2bm":
         bias = abs(pv_stats.lambda_phi_unit(p)) * math.sqrt(t / math.pi)
     else:
@@ -392,10 +377,13 @@ def _clt(config: ExperimentConfig) -> tuple:
     per-path bias estimate, residual variance, and Gaussianity of the
     standardized residuals."""
     rows, failures = _map_replicates(config, _row_clt, range(config.reps))
-    s = _columns(rows, "S")
-    x = _columns(rows, "x")
-    bhat = _columns(rows, "bhat")
     p, t = config.p, config.t_eval
+    s = math.sqrt(config.n) * (_columns(rows, "B") - _lln_target(config))
+    x = _columns(rows, "x")
+    # the bias estimate is (lambda(phi_{p,1}) / 2) * local time for max2bm,
+    # and the pair functional itself for br
+    slope_target = 0.5 * pv_stats.lambda_phi_unit(p) if config.model == "max2bm" else 1.0
+    bhat = slope_target * x
 
     design = np.column_stack([x, np.ones_like(x)])
     (slope, intercept), *_ = np.linalg.lstsq(design, s, rcond=None)
@@ -407,7 +395,6 @@ def _clt(config: ExperimentConfig) -> tuple:
     m2p = gauss_kernels.abs_moment(2 * p)
     mp = gauss_kernels.abs_moment(p)
     cond_var = (m2p - mp ** 2) * config.volatility.integrated_power(2 * p, t)
-    slope_target = 0.5 * pv_stats.lambda_phi_unit(p) if config.model == "max2bm" else 1.0
     ks = ks_statistic(resid / math.sqrt(cond_var), ndtr)
 
     aggregate = {
@@ -416,7 +403,6 @@ def _clt(config: ExperimentConfig) -> tuple:
         "resid_var": resid_var, "resid_var_target": float(cond_var),
         "ks_std_resid": ks, "mean_S": float(s.mean()), "mean_bhat": float(bhat.mean()),
         "truncated": len(failures),
-        "route_gap_max": float(np.max(_columns(rows, "route_gap"))),
     }
     # the regression slope is pinned under constant volatility (max2bm
     # included), Gaussianity of residuals for max2bm only; the remaining
@@ -464,10 +450,8 @@ def _marginal(config: ExperimentConfig) -> tuple:
 def _facts(config: ExperimentConfig) -> tuple:
     """Frechet marginal, Gumbel log-marginal, k=5 max-stability, and two-time
     stationarity, each with its own verdict."""
-    reps = config.reps
-    rows, failures = _map_replicates(config, _row_facts, range(reps))
-    if failures:
-        raise failures[0]
+    rows, failures = _map_replicates(config, _row_facts, range(config.reps))
+    m = len(rows)                                # completed replicates
 
     log_eta_03 = _columns(rows, "log_eta_03")
     eta_03 = np.exp(log_eta_03)
@@ -477,8 +461,8 @@ def _facts(config: ExperimentConfig) -> tuple:
 
     frechet_cdf = lambda z: np.exp(-1.0 / np.maximum(z, 1e-300))
     gumbel_cdf = lambda x: np.exp(-np.exp(-x))
-    one_sample = 2.0 / math.sqrt(reps)           # 1.5x critical value, truncation slack
-    two_sample = 2.5 / math.sqrt(reps)
+    one_sample = 2.0 / math.sqrt(m)              # 1.5x critical value, truncation slack
+    two_sample = 2.5 / math.sqrt(m)
 
     ks_frechet = ks_statistic(eta_03, frechet_cdf)
     ks_gumbel = ks_statistic(log_eta_03, gumbel_cdf)
@@ -487,12 +471,12 @@ def _facts(config: ExperimentConfig) -> tuple:
                                          _columns(rows, "log_eta_08"))
     p_below = float((eta_05 < 1.0).mean())
     p_target = math.exp(-1.0)
-    p_se = math.sqrt(p_target * (1 - p_target) / reps)
+    p_se = math.sqrt(p_target * (1 - p_target) / m)
 
     aggregate = {
         "ks_frechet": ks_frechet, "ks_gumbel": ks_gumbel,
         "ks_maxstability": ks_maxstab, "ks_stationarity": ks_station,
-        "p_eta_below_1": p_below,
+        "p_eta_below_1": p_below, "truncated": len(failures),
     }
     verdicts = [
         Verdict("frechet_marginal", ks_frechet, one_sample),
@@ -539,11 +523,9 @@ def _moment_bias(config: ExperimentConfig) -> tuple:
 def _h_recovery(config: ExperimentConfig) -> tuple:
     """Localized volatility recovery through the power-variation LLN."""
     rows, failures = _map_replicates(config, _row_h_recovery, range(config.reps))
-    if failures:
-        raise failures[0]
     mae = _columns(rows, "mae")
     mean_mae = float(mae.mean())
-    aggregate = {"mean_interior_mae": mean_mae}
+    aggregate = {"mean_interior_mae": mean_mae, "truncated": len(failures)}
     verdicts = [Verdict("h_recovery_mae", mean_mae, 0.1)]
     return {"mae": mae.tolist()}, aggregate, verdicts
 

@@ -17,7 +17,8 @@ the kernel local-time increments of Z_k - Z_j weighted by
 lambda(phi_{p, H_s}) / (2 H_s^2) and restricted to the steps where the pair
 tops every other atom.  lambda(phi_{p,sigma}) = sigma^{p+1} lambda(phi_{p,1})
 exactly (change of variables in the defining double integral), so a single
-unit-sigma constant serves every step weight.
+unit-sigma constant serves every step weight, and lambda(phi_{p,1}) = 2 J_p,
+twice the moment-bias integral, so that constant is derived from J_p.
 
 At most one pair can lie strictly above every other atom at a step: the
 top two, when the second value v2 exceeds the third v3.  So with the step's
@@ -39,7 +40,6 @@ import numpy as np
 from . import gauss_kernels
 from .gauss_kernels import _check_order
 from .path_sim import GridPath, MaxStablePath
-from .quadrature import QuadratureConfig
 
 __all__ = [
     "power_variation",
@@ -110,9 +110,9 @@ def local_time_tanaka(path: GridPath, t: float) -> float:
 
 @lru_cache(maxsize=32)
 def lambda_phi_unit(p: int) -> float:
-    """lambda(phi_{p,1}), computed once per order and reused via the exact
-    sigma^{p+1} scaling law."""
-    return gauss_kernels.lambda_integral(p, 1.0, QuadratureConfig(), "phi")
+    """lambda(phi_{p,1}) = 2 J_p, derived from the moment-bias integral once
+    per order and reused via the exact sigma^{p+1} scaling law."""
+    return 2.0 * gauss_kernels.bias_integral(p)
 
 
 def clt_bias_functional(ms_path: MaxStablePath, p: int, t: float,

@@ -187,9 +187,11 @@ _POWER_LAW = {"form": "power_law", "a": 1.0, "b": 1.0, "gamma": 1.0}
     (["--experiment", "clt", "--n", "256", "--halfwidth", "100"], None,
      "reaches the retain margin"),
     (["--experiment", "estimate_h", "--window", "4"], None, "requires a window"),
+    (["--experiment", "lln", "--p", "0"], None, "order p must be a positive integer"),
+    (["--experiment", "clt", "--p", "-1"], None, "order p must be a positive integer"),
 ], ids=("marginal-max2bm", "frechet-max2bm", "estimate_h-no-window", "max2bm-sigma2",
         "max2bm-h_spec", "malformed-h_spec", "moment_bias-power", "marginal-power",
-        "epsilon-0", "halfwidth-0", "halfwidth-100", "window-4"))
+        "epsilon-0", "halfwidth-0", "halfwidth-100", "window-4", "lln-p0", "clt-p-1"))
 def test_verify_runner_preconditions_exit_2(argv, file_cfg, message, tmp_path,
                                             monkeypatch, capsys):
     # each config breaks a precondition of its experiment or model; building
@@ -211,7 +213,12 @@ def test_verify_runner_preconditions_exit_2(argv, file_cfg, message, tmp_path,
     ["powervar", "--in", "empty.csv", "--p", "2"],
     ["estimate-h", "--in", "missing.csv", "--p", "2", "--window", "4"],
     ["simulate", "--model", "br", "--n", "8", "--h-spec", "missing.csv"],
-], ids=("powervar", "powervar-empty", "estimate-h", "simulate"))
+    ["simulate", "--model", "br", "--n", "8", "--epsilon", "0"],
+    # the max of two standard Brownian motions has unit volatility
+    ["simulate", "--model", "max2bm", "--n", "8", "--sigma", "2"],
+    ["simulate", "--model", "max2bm", "--n", "8", "--h-spec", "empty.csv"],
+], ids=("powervar", "powervar-empty", "estimate-h", "simulate", "simulate-epsilon",
+        "simulate-max2bm-sigma2", "simulate-max2bm-h-spec"))
 def test_bad_input_leaves_existing_out_untouched(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "empty.csv").write_text("")

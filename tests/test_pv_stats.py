@@ -146,15 +146,23 @@ def test_bias_functional_zero_when_one_atom_dominates():
     assert pv_stats.clt_bias_functional(path, 2, 1.0, 1.0) == 0.0
 
 
-def test_bias_functional_reduces_to_kernel_local_time():
-    grid = Grid(1024)
-    mx, diff = sample_max_two_bm(grid, replicate_rng(6, 0))
+@pytest.mark.parametrize("n", (1024, 4096))
+@pytest.mark.parametrize("t", (0.5, 1.0))
+@pytest.mark.parametrize("seed", (6, 11, 29))
+@pytest.mark.parametrize("p", (1, 2, 3))
+def test_bias_functional_reduces_to_kernel_local_time(p, seed, t, n):
+    # the two routes to the max2bm CLT bias: the pair functional on the two
+    # Brownian atoms W1, W2 is (lambda(phi_{p,1}) / 2) times the kernel local
+    # time of W2 - W1, which is the route the clt experiment takes
+    grid = Grid(n)
+    mx, diff = sample_max_two_bm(grid, replicate_rng(seed, 0))
     w1 = mx.values - np.maximum(diff.values, 0.0)
     path = _two_atom_path(grid, w1, w1 + diff.values)
-    lam1 = pv_stats.lambda_phi_unit(2)
-    expected = 0.5 * lam1 * pv_stats.local_time_kernel(diff, 1.0, 1.0)
-    got = pv_stats.clt_bias_functional(path, 2, 1.0, 1.0)
-    assert got == pytest.approx(expected, abs=1e-12)
+    local_time = pv_stats.local_time_kernel(diff, t, 1.0)
+    assert local_time > 0.0         # the pair fires at some step
+    expected = 0.5 * pv_stats.lambda_phi_unit(p) * local_time
+    got = pv_stats.clt_bias_functional(path, p, t, 1.0)
+    assert abs(got - expected) <= 1e-12
 
 
 def _pair_loop_bias(ms_path: MaxStablePath, p: int, t: float, halfwidth: float) -> float:
