@@ -22,22 +22,27 @@ no later atom can alter the path anywhere except on an event of probability
 at most eps per atom, where q_eps = sqrt(Sigma) * PhibarInv(eps/2) bounds
 sup_t int H dW via the reflection inequality (Sigma = int_0^1 H^2 ds).
 
-Atoms whose Z-path ever comes within ``retain_margin`` of the final maximum
-are kept (they are the only ones that can enter the pair local-time
+Most atoms never come near the maximum, so each one is first drawn coarse:
+its Z path Z_t = log R + int_0^t H dW at S + 1 evenly spaced grid points,
+S = 2^(bit_length(n) // 2), a power of two near sqrt(n).  Between two
+coarse points the fine path is a Brownian bridge in int H^2 time, and the
+bridge's chance of reaching a level c is known in closed form.  Only atoms
+whose coarse path may bring them within ``retain_margin`` of the running
+maximum are refined to the fine grid; the rest are dropped unseen.  The
+screen drops an atom that would have mattered with probability at most
+S x 1e-9, so a path differs from the series with every atom refined only
+on an event of probability at most atoms x S x 1e-9 (see
+``sample_brown_resnick``).  The refinement draws come from a counter-based
+Philox stream (Salmon et al. 2011) addressed by the atom's index, so which
+atoms get refined changes no fine path.
+
+Refined atoms whose Z path ever comes within ``retain_margin`` of the final
+maximum are kept (they are the only ones that can enter the pair local-time
 functionals); the rest are discarded after updating the running maximum.
 The kept atoms are stored as two arrays, their log weights ``log_r`` and
 their Z paths ``z``; the ``SpectralAtom`` objects and the argmax index are
 built from them on first read, so statistics that only need the path pay
 nothing for them.
-
-Atoms are generated in blocks of 64, and each block is drawn and processed
-in row tiles of at most ``_TILE_ELEMS`` normals.  Buffers for a whole block,
-2 x 64 x (n+1) doubles (4 MiB at n = 4096), are large enough that the
-allocator returns them to the system when a call ends, so each call would
-fault them in again; tile buffers stay near 1 MiB at every n up to 2^16.
-The tile height changes no number: the normals of a block fill its tiles in
-the same stream order, and the retention tests stay exact (see
-``sample_brown_resnick``).
 """
 
 from __future__ import annotations
@@ -66,9 +71,15 @@ __all__ = [
 ]
 
 _BLOCK_SIZE = 64        # atoms per block; fixes the draw order of sample_brown_resnick
-_TILE_ELEMS = 2 ** 16   # normals per row tile of a block; sets buffer sizes, never a number
-# cap on the memory of one block whose 64 rows are all kept: their copies plus
-# as much again when the kept rows are concatenated; allows n up to 2^19 - 1
+# per coarse segment, the bound on the chance that a dropped atom would have
+# come within the retain margin of the running maximum there
+_SCREEN_TOL = 1e-9
+# the first block in two tiles: atoms 0-3, refined unscreened since there is
+# no running maximum yet, then the rest against theirs; later blocks whole
+_FIRST_BLOCK_TILES = ((0, 4), (4, _BLOCK_SIZE))
+_FILL_ELEMS = 2 ** 16   # fine values per refined chunk of rows; sets buffer sizes, never a number
+# cap on the memory of one block whose 64 atoms are all refined: their fine
+# rows plus as much again when the rows are concatenated; allows n up to 2^19 - 1
 _MAX_BLOCK_BYTES = 512 * 2 ** 20
 RETAIN_MARGIN = 1.0     # sampler default; bounds halfwidth/sqrt(n) (pv_stats.check_halfwidth)
 
@@ -144,14 +155,16 @@ class VolatilitySpec:
             if lo <= 0:
                 raise ValueError(f"power-law volatility must stay positive on [0,1]; inf H = {lo}")
         elif kind == "table":
-            s = np.asarray(s_knots, dtype=float)
-            h = np.asarray(h_knots, dtype=float)
+            # copies, read-only: a spec's value never changes after it is made
+            s = np.array(s_knots, dtype=float)
+            h = np.array(h_knots, dtype=float)
             if s.ndim != 1 or s.shape != h.shape or len(s) < 2:
                 raise ValueError("table form needs matching 1-D knot arrays of length >= 2")
             if s[0] != 0.0 or s[-1] != 1.0 or np.any(np.diff(s) <= 0):
                 raise ValueError("table abscissae must increase strictly from 0 to 1")
             if np.any(h <= 0):
                 raise ValueError("tabulated volatility must be positive everywhere")
+            s.flags.writeable = h.flags.writeable = False
             self.s_knots, self.h_knots = s, h
         else:
             raise ValueError(f"unknown volatility form {kind!r}")
@@ -272,6 +285,7 @@ class TruncationDiagnostics:
     atoms_generated: int
     stop_rule_margin: float
     epsilon: float
+    atoms_refined: int      # atoms drawn on the fine grid; the rest stayed coarse
 
 
 @dataclass(frozen=True)
@@ -335,30 +349,141 @@ class TruncationError(RuntimeError):
         return type(self), (self.args[0], self.partial)
 
 
+class _CoarseLattice:
+    """The coarse points idx[0..S] of a grid, the screen against the running
+    maximum, and the bridge fill from coarse to fine paths, all in int H^2
+    time.  It depends only on (H, n)."""
+
+    def __init__(self, h: VolatilitySpec, n: int):
+        # S coarse segments, a power of two near sqrt(n) and never above n:
+        # 16 at n = 256, 64 at 4096, 128 at 2^14
+        s = 1 << (int(n).bit_length() // 2)
+        self.var = var = h.integrated_power(2, Grid(n).times)     # int_0^t H^2 ds
+        self.n = n
+        self.idx = idx = np.arange(s + 1) * n // s
+        self.step_sd = np.sqrt(var[1:] - var[:-1])
+        var_c = var[idx]
+        tau = var_c[1:] - var_c[:-1]
+        self.coarse_sd = np.sqrt(tau)
+        # exp(-2 (c - a)(c - b) / tau) > tol  <=>  (c - a)(c - b) < screen_level
+        self.screen_level = -0.5 * math.log(_SCREEN_TOL) * tau
+        # segment j covers seg_len[j] fine points from idx[j], and fine point
+        # i lies frac[i] of its segment's variance past idx[j]; coarse point
+        # S closes the grid as a segment of one point with frac 0
+        self.seg_len = np.empty(s + 1, dtype=np.intp)
+        self.seg_len[:s] = idx[1:] - idx[:-1]
+        self.seg_len[s] = 1
+        self.frac = var - np.repeat(var_c, self.seg_len)
+        self.frac[:n] /= np.repeat(tau, self.seg_len[:s])
+
+    def coarse_paths(self, log_r: np.ndarray, rng_stream) -> np.ndarray:
+        """Z at the coarse points, one row per atom: log R, then S Gaussian
+        steps drawn row by row."""
+        steps = rng_stream.standard_normal((len(log_r), len(self.coarse_sd)))
+        steps *= self.coarse_sd
+        zc = np.empty((len(log_r), len(self.idx)))
+        zc[:, 0] = 0.0
+        np.cumsum(steps, axis=1, out=zc[:, 1:])
+        zc += log_r[:, None]
+        return zc
+
+    def may_reach(self, zc: np.ndarray, run_max: np.ndarray, margin: float) -> np.ndarray:
+        """Rows of ``zc`` whose fine path may come within ``margin`` of
+        ``run_max``.  With c the least running maximum on a segment minus
+        the margin, and a, b the row's coarse values at its ends, a row is
+        hot if c <= max(a, b) or exp(-2 (c - a)(c - b) / tau) > _SCREEN_TOL
+        on some segment; the latter bounds the chance that the bridge
+        between a and b reaches c."""
+        if run_max[0] == -np.inf:       # nothing drawn yet: every row is hot
+            return np.arange(len(zc))
+        idx = self.idx
+        c = np.minimum(np.minimum.reduceat(run_max, idx[:-1]), run_max[idx[1:]]) - margin
+        da = c - zc[:, :-1]
+        db = c - zc[:, 1:]
+        # da <= 0 or db <= 0 is c <= max(a, b): db <= 0 < da makes da * db <= 0
+        hot = (da <= 0.0) | (da * db < self.screen_level)
+        return np.flatnonzero(hot.any(axis=1))
+
+    def fill(self, zc: np.ndarray, normals: np.ndarray) -> np.ndarray:
+        """Fine paths (k, n+1) through the coarse rows ``zc`` (k, S+1).
+
+        The normals (k, n) make a free walk with the fine step deviations;
+        on each segment the walk minus its chord is a Brownian bridge in
+        int H^2 time, which is added to the chord of ``zc``.  That is the
+        exact conditional law of the fine points given the coarse ones, and
+        every coarse point comes out bit for bit."""
+        z = np.empty((len(zc), self.n + 1))
+        z[:, 0] = 0.0
+        np.cumsum(normals * self.step_sd, axis=1, out=z[:, 1:])
+        walk_c = z[:, self.idx]
+        rise = np.zeros_like(zc)        # coarse rise minus walk rise; 0 past point S
+        rise[:, :-1] = (zc[:, 1:] - zc[:, :-1]) - (walk_c[:, 1:] - walk_c[:, :-1])
+        z -= np.repeat(walk_c, self.seg_len, axis=1)
+        bridge_shift = np.repeat(rise, self.seg_len, axis=1)
+        bridge_shift *= self.frac
+        z += bridge_shift
+        z += np.repeat(zc, self.seg_len, axis=1)
+        return z
+
+
+class _FineNormals:
+    """Addressable normals for the bridge fill: one Philox generator per
+    sampler call, keyed from its ``rng_stream``, and atom k reads its stream
+    from counter k * 2^64 on, so an atom's fine path does not depend on which
+    other atoms were refined."""
+
+    def __init__(self, key: np.ndarray):
+        self._key = key.tolist()
+        self._bitgen = np.random.Philox(key=key)
+        self._gen = np.random.Generator(self._bitgen)
+
+    def draw(self, atoms: np.ndarray, n: int) -> np.ndarray:
+        """n normals for each atom index in ``atoms``, one row each."""
+        out = np.empty((len(atoms), n))
+        for row, k in zip(out, atoms.tolist()):
+            self._bitgen.state = {"bit_generator": "Philox",
+                                  "state": {"counter": [0, k, 0, 0], "key": self._key},
+                                  "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                                  "has_uint32": 0, "uinteger": 0}
+            self._gen.standard_normal(out=row)
+        return out
+
+
 def sample_brown_resnick(h: VolatilitySpec, grid: Grid, rng_stream,
                          epsilon: float, *, atom_budget: int = 1_000_000,
                          retain_margin: float = RETAIN_MARGIN) -> MaxStablePath:
     """Truncated-series simulation of the max-stable path eta = max R_i V_i.
 
-    Atoms are generated in blocks of 64 so that shrinking epsilon (or
-    raising the budget) extends the same draw sequence: the common prefix of
-    atoms is bit-identical, which is what the truncation audit relies on.
-    The block size is fixed because it sets the draw order: a block's 64
-    exponential gaps, then its 64 x n normals in row-major order.
+    Draw order.  First a 128-bit Philox key from ``rng_stream``.  Then, per
+    block of 64 atoms, the block's 64 exponential gaps and its 64 x S coarse
+    normals (row-major), both from ``rng_stream``.  Fine normals come only
+    from the Philox stream, addressed by atom index.  Shrinking epsilon (or
+    raising the budget) therefore extends the same draw sequence: the common
+    prefix of atoms is bit-identical, which is what the truncation audit
+    relies on.  The block size is fixed because it sets the draw order.
 
-    The normals are drawn and processed ``rows = min(64, _TILE_ELEMS // n)``
-    rows at a time (at least one) in two buffers of rows x n and
-    rows x (n+1) doubles, allocated once per call.  Each tile folds its
-    column maxima into the running maximum and keeps the rows that come
-    within ``retain_margin`` of that partial maximum.  The running maximum
-    only grows and rounding is monotone, so each tile keeps a superset of
-    what the final test keeps; that final test, against the final running
-    maximum, makes the kept set independent of the tile height.  The stop
-    rule reads the running maximum at the end of a block.
+    Screen.  Atoms 0-3 are refined unscreened, since there is no running
+    maximum yet; atoms 4-63 are screened against the maximum they leave,
+    and every later block whole against the running maximum at its start
+    (see ``_CoarseLattice.may_reach``).  Hot atoms get their whole fine
+    path and fold it into the running maximum.  Cold atoms are neither
+    refined nor kept.  The stop rule reads the running maximum at the end
+    of a block, and the refined atoms that come within ``retain_margin`` of
+    the final running maximum are kept.
 
-    A block whose 64 rows are all kept needs 2 x 64 x (n+1) doubles; that is
-    capped at ``_MAX_BLOCK_BYTES``, and a larger n is rejected before any
-    draw.
+    Error.  The running maximum only grows, so a cold atom would have
+    changed the output only if its bridge reached the screen level on some
+    segment, which has probability at most S x _SCREEN_TOL.  Per path,
+    atoms generated x S x _SCREEN_TOL therefore bounds the chance that the
+    output differs from the exact truncated series (every atom refined);
+    it adds to the stop rule's epsilon per atom.  At sigma = 2 and
+    n = 2^14 about 1300 atoms are generated per path, so that is
+    1300 x 128 x 1e-9 ~ 2e-4, below epsilon = 1e-3.  Off that event the law
+    is exact for every volatility form.
+
+    A block whose 64 atoms are all refined needs 2 x 64 x (n+1) doubles;
+    that is capped at ``_MAX_BLOCK_BYTES``, and a larger n is rejected
+    before any draw.
     """
     check_epsilon(epsilon)
     if not (np.isfinite(retain_margin) and retain_margin > 0):
@@ -370,17 +495,15 @@ def sample_brown_resnick(h: VolatilitySpec, grid: Grid, rng_stream,
     if block_bytes > _MAX_BLOCK_BYTES:
         raise ValueError(f"n={n} needs {block_bytes} bytes for one fully kept block, above "
                          f"the cap of {_MAX_BLOCK_BYTES} bytes")
-    variance = h.integrated_power(2, grid.times)     # Var of int_0^{i/n} H dW
-    step_sd = np.sqrt(np.diff(variance))
-    q_eps = math.sqrt(variance[-1]) * float(-ndtri(epsilon / 2.0))
+    lattice = _CoarseLattice(h, n)
+    q_eps = math.sqrt(float(lattice.var[-1])) * float(-ndtri(epsilon / 2.0))
+    fine = _FineNormals(rng_stream.bit_generator.random_raw(2))
 
-    rows = max(1, min(_BLOCK_SIZE, _TILE_ELEMS // n))
-    normals = np.empty((rows, n))
-    z_tile = np.empty((rows, n + 1))
     run_max = np.full(n + 1, -np.inf)
+    chunk = max(1, _FILL_ELEMS // n)
     kept_log_r, kept_z = [], []
     gamma_tail = 0.0
-    generated = 0
+    generated = refined = 0
     stop_margin = -np.inf
     stopped = False
 
@@ -389,27 +512,21 @@ def sample_brown_resnick(h: VolatilitySpec, grid: Grid, rng_stream,
         gammas = gamma_tail + np.cumsum(gaps)
         gamma_tail = float(gammas[-1])
         log_r = -np.log(gammas)
-        for lo in range(0, _BLOCK_SIZE, rows):
-            tile_log_r = log_r[lo:lo + rows]
-            t = len(tile_log_r)
-            nt, zt = normals[:t], z_tile[:t]
-            rng_stream.standard_normal(out=nt)
-            nt *= step_sd
-            zt[:, 0] = 0.0
-            np.cumsum(nt, axis=1, out=zt[:, 1:])
-            zt += tile_log_r[:, None]
-
-            tile_best = zt.max(axis=0)
-            run_max = np.where(tile_best > run_max, tile_best, run_max)
-            current_min = float(run_max.min())
-            # run_max only grows, and rounding is monotone: both tests against
-            # the partial run_max keep a superset of what the final one keeps
-            cand = np.flatnonzero(zt.max(axis=1) - current_min > -retain_margin)
-            cand = cand[(zt[cand] - run_max).max(axis=1) > -retain_margin]
-            kept_log_r.append(tile_log_r[cand])
-            kept_z.append(zt[cand])
+        zc = lattice.coarse_paths(log_r, rng_stream)
+        for lo, hi in _FIRST_BLOCK_TILES if generated == 0 else ((0, _BLOCK_SIZE),):
+            hot = lo + lattice.may_reach(zc[lo:hi], run_max, retain_margin)
+            for c in range(0, hot.size, chunk):
+                rows = hot[c:c + chunk]
+                z = lattice.fill(zc[rows], fine.draw(generated + rows, n))
+                run_max = np.maximum(run_max, z.max(axis=0))
+                # run_max only grows, and rounding is monotone: this keeps a
+                # superset of what the final test keeps
+                keep = (z - run_max).max(axis=1) > -retain_margin
+                kept_log_r.append(log_r[rows[keep]])
+                kept_z.append(z[keep])
+                refined += rows.size
         generated += _BLOCK_SIZE
-        stop_margin = current_min - (float(log_r[-1]) + q_eps)
+        stop_margin = float(run_max.min()) - (float(log_r[-1]) + q_eps)
         stopped = stop_margin > 0.0
 
     # the first generated atom attaining the maximum is always kept, so the
@@ -417,13 +534,14 @@ def sample_brown_resnick(h: VolatilitySpec, grid: Grid, rng_stream,
     z = np.concatenate(kept_z)
     keep = (z - run_max).max(axis=1) > -retain_margin
     path = MaxStablePath(
-        log_eta=GridPath(grid, run_max - 0.5 * variance),
+        log_eta=GridPath(grid, run_max - 0.5 * lattice.var),
         log_r=np.concatenate(kept_log_r)[keep],
         z=z[keep],
         truncation_diag=TruncationDiagnostics(
             atoms_generated=generated,
             stop_rule_margin=float(stop_margin),
             epsilon=float(epsilon),
+            atoms_refined=refined,
         ),
         vol=h,
         retain_margin=float(retain_margin),

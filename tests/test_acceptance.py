@@ -35,6 +35,41 @@ from maxstable_pv.quadrature import QuadratureConfig
 MASTER_SEED = 1
 LINEAR_H = {"form": "power_law", "a": 1.0, "b": 1.0, "gamma": 1.0}
 
+# The experiment configs of the randomized criteria that run whole reports:
+# criterion -> [(tag, ExperimentConfig fields without master_seed)].  The
+# tests below run them at MASTER_SEED; tools/seed_sweep.py imports this
+# table and runs the same configs over a range of seeds.
+CRITERIA = {
+    3: [("frechet n=256", dict(experiment="frechet", model="br", n=256, reps=10_000,
+                               sigma=1.0, epsilon=1e-3))],
+    4: [("marginal n=256", dict(experiment="marginal_increment", model="br", p=2, n=256,
+                                reps=10_000, sigma=1.0, epsilon=1e-3))],
+    5: [(f"lln {model} p={p} {tag}", dict(experiment="lln", model=model, p=p, n=2 ** 14,
+                                           reps=200, epsilon=1e-3, **vol))
+        for model, p, tag, vol in (
+            ("max2bm", 2, "sigma=1", dict(sigma=1.0)),
+            ("br", 1, "sigma=1", dict(sigma=1.0)),
+            ("br", 2, "sigma=1", dict(sigma=1.0)),
+            ("br", 1, "sigma=2", dict(sigma=2.0)),
+            ("br", 2, "sigma=2", dict(sigma=2.0)),
+            ("br", 2, "power_law", dict(sigma=None, h_spec=LINEAR_H)))],
+    # 4000 replicates, so that the fixed slope band of 1 +- 0.15 spans about
+    # 3 standard errors of the br slope (its SD over seeds is about 0.064 at
+    # 2000 replicates); at 1000 it spans fewer than 2
+    6: [(f"clt {tag}", dict(experiment="clt", p=2, n=4096, reps=4000, epsilon=1e-3, **kw))
+        for tag, kw in (
+            ("max2bm p=2", dict(model="max2bm", sigma=1.0)),
+            ("br sigma=1 p=2", dict(model="br", sigma=1.0)),
+            ("br H(s)=1+s p=2", dict(model="br", sigma=None, h_spec=LINEAR_H)))],
+    9: [("estimate_h n=2^16", dict(experiment="estimate_h", model="br", p=2, n=2 ** 16,
+                                   reps=20, sigma=None, h_spec=LINEAR_H, epsilon=1e-3,
+                                   window=1024))],
+}
+
+
+def _config(fields: dict) -> mh.ExperimentConfig:
+    return mh.ExperimentConfig(**fields, master_seed=MASTER_SEED)
+
 
 def _line(name: str, ok: bool, detail: str) -> bool:
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
@@ -92,10 +127,8 @@ def test_criterion_02_moment_bias_convergence():
 
 
 def test_criterion_03_distributional_facts():
-    cfg = mh.ExperimentConfig(experiment="frechet", model="br", n=256,
-                              reps=10_000, sigma=1.0, epsilon=1e-3,
-                              master_seed=MASTER_SEED)
-    report = mh.run_experiment(cfg)
+    [(_, fields)] = CRITERIA[3]
+    report = mh.run_experiment(_config(fields))
     checks = [_line(v.name, v.passed, f"measured {v.measured:.5f} < {v.threshold:.5f}")
               for v in report.verdicts]
     # stationarity invariant: both time points individually Gumbel
@@ -107,33 +140,20 @@ def test_criterion_03_distributional_facts():
 
 
 def test_criterion_04_marginal_increment_law():
-    cfg = mh.ExperimentConfig(experiment="marginal_increment", model="br", p=2,
-                              n=256, reps=10_000, sigma=1.0, epsilon=1e-3,
-                              master_seed=MASTER_SEED)
-    report = mh.run_experiment(cfg)
+    [(_, fields)] = CRITERIA[4]
+    report = mh.run_experiment(_config(fields))
     checks = [_line(v.name, v.passed, f"measured {v.measured:.5f} < {v.threshold:.5f}")
               for v in report.verdicts]
     assert all(checks)
 
 
 def test_criterion_05_lln_suite():
-    configs = [
-        dict(model="max2bm", p=2, sigma=1.0),
-        dict(model="br", p=1, sigma=1.0),
-        dict(model="br", p=2, sigma=1.0),
-        dict(model="br", p=1, sigma=2.0),
-        dict(model="br", p=2, sigma=2.0),
-        dict(model="br", p=2, sigma=None, h_spec=LINEAR_H),
-    ]
     checks = []
-    for kw in configs:
-        cfg = mh.ExperimentConfig(experiment="lln", n=2 ** 14, reps=200,
-                                  epsilon=1e-3, master_seed=MASTER_SEED, **kw)
-        report = mh.run_experiment(cfg)
+    for tag, fields in CRITERIA[5]:
+        report = mh.run_experiment(_config(fields))
         v = report.verdicts[0]
-        tag = kw["h_spec"]["form"] if kw.get("h_spec") else f"sigma={kw['sigma']}"
         checks.append(_line(
-            f"lln {kw['model']} p={kw['p']} {tag}", v.passed,
+            tag, v.passed,
             f"mean {report.aggregate['mean_B']:.5f} vs target "
             f"{report.aggregate['target']:.5f}, gap {v.measured:.5f} < {v.threshold:.5f}"))
     assert all(checks)
@@ -141,29 +161,22 @@ def test_criterion_05_lln_suite():
 
 def test_criterion_06_clt_suite():
     checks = []
-    cases = [
-        ("max2bm p=2", dict(model="max2bm", p=2, sigma=1.0)),
-        ("br sigma=1 p=2", dict(model="br", p=2, sigma=1.0)),
-        ("br H(s)=1+s p=2", dict(model="br", p=2, sigma=None, h_spec=LINEAR_H)),
-    ]
-    for tag, kw in cases:
-        cfg = mh.ExperimentConfig(experiment="clt", n=4096, reps=1000,
-                                  epsilon=1e-3, master_seed=MASTER_SEED, **kw)
-        report = mh.run_experiment(cfg)
+    for tag, fields in CRITERIA[6]:
+        report = mh.run_experiment(_config(fields))
         agg = report.aggregate
         detail = (f"slope {agg['slope']:.4f} (target {agg['slope_target']:.4f}), "
                   f"resid var {agg['resid_var']:.4f} (target {agg['resid_var_target']:.4f}), "
                   f"KS {agg['ks_std_resid']:.4f}")
         for v in report.verdicts:
-            checks.append(_line(f"clt {tag} {v.name}", v.passed, detail))
-        if kw["model"] == "br" and kw.get("sigma") == 1.0:
+            checks.append(_line(f"{tag} {v.name}", v.passed, detail))
+        if fields["model"] == "br" and fields["sigma"] == 1.0:
             # the replicate-mean of the bias functional must match the
             # replicate-mean of S within 4 SE of their difference
             s = np.asarray(report.per_replicate["S"])
             bhat = np.asarray(report.per_replicate["bhat"])
             diff_se = (s - bhat).std(ddof=1) / math.sqrt(len(s))
             gap = abs(s.mean() - bhat.mean())
-            checks.append(_line(f"clt {tag} bias-functional mean", gap < 4 * diff_se,
+            checks.append(_line(f"{tag} bias-functional mean", gap < 4 * diff_se,
                                 f"|mean S - mean bhat| = {gap:.4f} < 4SE {4 * diff_se:.4f}"))
     assert all(checks)
 
@@ -220,10 +233,8 @@ def test_criterion_08_truncation_audit():
 
 
 def test_criterion_09_h_recovery():
-    cfg = mh.ExperimentConfig(experiment="estimate_h", model="br", p=2,
-                              n=2 ** 16, reps=20, sigma=None, h_spec=LINEAR_H,
-                              epsilon=1e-3, master_seed=MASTER_SEED, window=1024)
-    report = mh.run_experiment(cfg)
+    [(_, fields)] = CRITERIA[9]
+    report = mh.run_experiment(_config(fields))
     v = report.verdicts[0]
     assert _line("H recovery", v.passed,
                  f"mean interior MAE {v.measured:.4f} < {v.threshold}")

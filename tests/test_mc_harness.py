@@ -269,14 +269,14 @@ def test_run_experiment_dispatch():
 
 @pytest.mark.parametrize("case, workers, digest", [
     (dict(experiment="clt", sigma=1.0), "1",
-     "0da127f0b5df83058d1491434eb1d7e10e614491a1b05c0ca2cdf6eff2477d61"),
+     "39d98e2b4f696e7c4e82eb82339ad21707fbb9f6015f1c63e017a26a30cc6460"),
     (dict(experiment="clt", sigma=2.0), "1",
-     "3481c241efda943a89d98dc1971e2a0128119e648642a78aeede24ca505eff0a"),
+     "d61889e9387d1b618e34060cdbbecb886162bb013eac17494f0142e5575d4267"),
     (dict(experiment="clt", sigma=None,
           h_spec={"form": "power_law", "a": 1.0, "b": 1.0, "gamma": 1.0}), "1",
-     "6ada0575d9d94f6f8c162bfc7e82e3397c4b8cf94d786efc7a1462719c6da87d"),
+     "8eea753655093987ab10e6f89ed284780f1e1a6b4e7216c2fc1abff5d44e1d9c"),
     (dict(experiment="frechet", sigma=1.0, n=256), "2",
-     "80aecf9b02aa8feef06c1c33824e7a44dfba9da072697793e43df35d9cf53a16"),
+     "1d3f928f87d0c469793079d0d31c2e60b865d301da88e04c6664bb962e83bff4"),
     (dict(experiment="clt", model="max2bm"), "1",
      "10d8cc365fe567c0a8a666d7e64267ff85aa8c6f0582bfd0d08c604797a102ee"),
 ], ids=("clt-sigma1", "clt-sigma2", "clt-power", "frechet-pooled", "clt-max2bm"))

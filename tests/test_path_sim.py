@@ -2,13 +2,13 @@ import hashlib
 import math
 import multiprocessing
 import pickle
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from maxstable_pv import path_sim
 from maxstable_pv.path_sim import (
@@ -37,7 +37,7 @@ def test_grid_and_path_validation():
     with pytest.raises(ValueError):
         GridPath(g, np.full(9, np.inf))
     # retained-atom arrays must be (K,) and (K, n+1)
-    diag = TruncationDiagnostics(64, 1.0, 1e-3)
+    diag = TruncationDiagnostics(64, 1.0, 1e-3, 64)
     vol = VolatilitySpec.constant(1.0)
     for log_r, z in ((np.zeros(2), np.zeros((2, 8))), (np.zeros(1), np.zeros((2, 9)))):
         with pytest.raises(ValueError, match="z must have shape"):
@@ -154,6 +154,20 @@ def test_volatility_from_dict():
         assert np.array_equal(back.value(s), h.value(s))
     with pytest.raises(ValueError):
         VolatilitySpec.from_dict({"form": "spline"})
+
+
+def test_volatility_table_keeps_its_own_knots():
+    # a table must neither follow later writes to the caller's knot arrays
+    # nor take writes to its own
+    s, hk = np.array([0.0, 0.3, 1.0]), np.array([1.0, 2.0, 1.5])
+    table = VolatilitySpec.table(s, hk)
+    before = table.integrated_power(2, 1.0)
+    hk[1] = 9.0
+    s[1] = 0.6
+    assert table.value(0.3) == 2.0 and table.integrated_power(2, 1.0) == before
+    for knots in (table.s_knots, table.h_knots):
+        with pytest.raises(ValueError, match="read-only"):
+            knots[1] = 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +380,11 @@ def test_truncation_error_crosses_a_process_pool():
 
 # SHA-256 of every output byte of sample_brown_resnick, pinned so that a
 # rewrite of the sampler that must keep the draw order is checked to keep
-# every number.  The digests hold for numpy 2.4 / scipy 1.17 on x86-64; a
-# platform whose libm rounds log or pow differently needs them re-pinned
-# from a commit whose sampler is trusted.
+# every number.  atoms_refined is left out: it counts the screen's work,
+# and a change of screening schedule changes no number.  The digests hold
+# for numpy 2.4 / scipy 1.17 on x86-64; a platform whose libm rounds log or
+# pow differently needs them re-pinned from a commit whose sampler is
+# trusted.
 _GOLDEN_VOLS = {
     "sigma1": VolatilitySpec.constant(1.0),
     "sigma2": VolatilitySpec.constant(2.0),
@@ -378,45 +394,72 @@ _GOLDEN_VOLS = {
 _GOLDEN = [
     # (vol, n, master_seed, replicate, epsilon, atom_budget, truncated, digest)
     ("sigma1", 64, 1, 0, 1e-3, 10 ** 6, False,
-     "7141cbe1e9759861aaeacf3eea9281ab088c5211fddc05645443f7395b9823e5"),
+     "f66d853a1b607dd74283499e9900f91bd68fec3b8fb98db397dcd29e7dd13972"),
     ("sigma1", 256, 7, 3, 1e-3, 10 ** 6, False,
-     "9f132f53fae5ceb37735b14e933255222884cfbb6795342cc07565850a87b091"),
+     "2ba208c8f077868b2e9b3e651ff9a671811a72cdac8043bc442e89fbc25ceb0a"),
     ("sigma1", 4096, 11, 5, 1e-3, 10 ** 6, False,
-     "18b03c7f58d836663a62a86d8a465a2e77566ca40b933ab5a7ce4310a0aa2c7f"),
+     "01aaef022e71718d1ea2881eaa32049a5ed959671c57f115a9842724a9d26ea5"),
     ("sigma2", 64, 2, 1, 1e-3, 10 ** 6, False,
-     "d6b9695180161cf2d4024e2b14e534db44f3d989df5ecb006fec79af968b3252"),
+     "35702d00cece40cb9d87a9cd75c4c80adba18d887b33fdf1a6749d19d80ef4c2"),
     ("sigma2", 256, 1, 0, 1e-3, 10 ** 6, False,
-     "201dae643114d4a39f2f72a2c9ef087e05f63f400e1f366babe5063b06faff00"),
+     "874121fe1b4f924a5b62fa4cd4504c5f8e896bdd1fffb2621fe1637295e3fcb2"),
     ("sigma2", 4096, 3, 2, 1e-3, 10 ** 6, False,
-     "9c4c841d2266ff6754d8458476b9be0a15135c710e8340897d717751895cfbd8"),
+     "f7d24be40b3dd2ed87e0336d2902db769b3ca17e455e074230b75993df764078"),
     ("sigma2", 4096, 1, 6, 1e-3, 10 ** 6, False,
-     "0055efee462561ef13ee16cca606dd22027f455104b18c11a9bb58fc776090df"),
+     "2a30392122629450fb358011368235f6417f7dcf34abbf06e22a0a55b75587f4"),
     ("power", 64, 4, 9, 1e-3, 10 ** 6, False,
-     "0e662d9203e34277bd32efecdd5c8073d161f2ddc2da1d164c8917542cd1afe9"),
+     "9e8c32681ec7837b9c2b21a1b72e28bfe71a322cee43d8b986b1549e4d2ff0e5"),
     ("power", 256, 5, 4, 1e-4, 10 ** 6, False,
-     "ee89fa12f98cbd5e613a1e71f5000646142da09ad8ebf0bf45a2d1c202886c8a"),
+     "3341f4f7608f29089cd846bc48391d767d7559556e423df59ebd37c051e0c2ec"),
     ("power", 4096, 6, 0, 1e-3, 10 ** 6, False,
-     "fc498df32340e0ca5adfed5f1eeeab6bd0b25500d04ac03ad51c00927eeea90e"),
+     "6faaf6d72d00960d190b8f291eb9a2b12605d0fc5ebb7cfff123cf6de624a02a"),
     ("table", 64, 8, 2, 1e-3, 10 ** 6, False,
-     "20e299cc4a21712b67cd4f75f2db1ce734da5535e9177d71ffdede93632369da"),
+     "2cf25fb5217135e70f884ad99ce1bf78d6252ed56c2e08947e10033996fddb47"),
     ("table", 256, 9, 7, 1e-3, 10 ** 6, False,
-     "dbc8b4b142c113cb2b249f3795891968999cdd7a4766b800b651cf00edc89590"),
+     "5a458d19af6af2c77760aa908606d0d7670ffd538e1517c936b97a0969f1be13"),
     ("table", 4096, 10, 1, 1e-3, 10 ** 6, False,
-     "1db452473930dae8531b1fabb5413d0c6261a6600b280c14d112e8b333855357"),
+     "ef4baa61357d7c108a58344ebcd1755e5cc508f1bd58bc185e6e26cd8a23b579"),
     # budget exhausted: the digest covers TruncationError.partial
     ("sigma1", 64, 41, 0, 1e-9, 32, True,
-     "bd5c92665206b6beb55f0b89a6c5aa5441e6f70adf32ef4e0b55a69dfead06d6"),
+     "d083fc590a6475c566956e545884a0c7aef365a07e9abf05f803588837f95772"),
     ("sigma2", 256, 12, 3, 1e-6, 100, True,
-     "ef7bc4581f3b076d6502b8a6e64af87422cdaf27769ace5c2409c9bb871d9d0b"),
-    # large n, where a block is drawn and processed in several row tiles
+     "b6fc301cd280e70576b3024a925a44df9247c95b663847c1a36292837f034ffe"),
+    # large n: 128 coarse segments of 128 steps
     ("sigma2", 2 ** 14, 13, 2, 1e-3, 10 ** 6, False,
-     "85ac736c19eee95915a3861af39bcabd8050abc058d790777cb80b1b8b650d12"),
-    # 3 rows per tile: 64 is not a multiple, so each block ends in a 1-row tile
+     "007d406fafb6a1bcf702b09099cff40824e0b83446a847c489569f4366256a97"),
+    # n not a power of two: coarse segments of 156 and 157 steps
     ("power", 20000, 14, 1, 1e-3, 10 ** 6, False,
-     "dea83e28cbb7c1cc6f4698db6bf6336fb7834c614dc8966e17ef3221f43ff613"),
+     "332f178b60b522e999ac688cf77939af47cf6ccbf7160e4aa95d10a844445fc7"),
     ("sigma1", 8192, 18, 4, 1e-9, 192, True,
-     "f18ea704dc5d8ddcf75d5c809da5f5ad4a7c8ffce7ecbf2f01af22f9f3039d85"),
+     "6e23b6799848160850599aabc9e5f44ada7f8373d69a614a6b06ebcdecbea80d"),
 ]
+
+
+# Each case is named by its parameters and the digest it was first pinned
+# with, in _GOLDEN's order; a re-pin changes the checked digest, not the
+# name, so a case keeps one test id across re-pins.
+_GOLDEN_FIRST_PINNED = [
+    "7141cbe1e9759861aaeacf3eea9281ab088c5211fddc05645443f7395b9823e5",
+    "9f132f53fae5ceb37735b14e933255222884cfbb6795342cc07565850a87b091",
+    "18b03c7f58d836663a62a86d8a465a2e77566ca40b933ab5a7ce4310a0aa2c7f",
+    "d6b9695180161cf2d4024e2b14e534db44f3d989df5ecb006fec79af968b3252",
+    "201dae643114d4a39f2f72a2c9ef087e05f63f400e1f366babe5063b06faff00",
+    "9c4c841d2266ff6754d8458476b9be0a15135c710e8340897d717751895cfbd8",
+    "0055efee462561ef13ee16cca606dd22027f455104b18c11a9bb58fc776090df",
+    "0e662d9203e34277bd32efecdd5c8073d161f2ddc2da1d164c8917542cd1afe9",
+    "ee89fa12f98cbd5e613a1e71f5000646142da09ad8ebf0bf45a2d1c202886c8a",
+    "fc498df32340e0ca5adfed5f1eeeab6bd0b25500d04ac03ad51c00927eeea90e",
+    "20e299cc4a21712b67cd4f75f2db1ce734da5535e9177d71ffdede93632369da",
+    "dbc8b4b142c113cb2b249f3795891968999cdd7a4766b800b651cf00edc89590",
+    "1db452473930dae8531b1fabb5413d0c6261a6600b280c14d112e8b333855357",
+    "bd5c92665206b6beb55f0b89a6c5aa5441e6f70adf32ef4e0b55a69dfead06d6",
+    "ef7bc4581f3b076d6502b8a6e64af87422cdaf27769ace5c2409c9bb871d9d0b",
+    "85ac736c19eee95915a3861af39bcabd8050abc058d790777cb80b1b8b650d12",
+    "dea83e28cbb7c1cc6f4698db6bf6336fb7834c614dc8966e17ef3221f43ff613",
+    "f18ea704dc5d8ddcf75d5c809da5f5ad4a7c8ffce7ecbf2f01af22f9f3039d85",
+]
+_GOLDEN_IDS = ["-".join(map(str, case[:-1] + (first,)))
+               for case, first in zip(_GOLDEN, _GOLDEN_FIRST_PINNED, strict=True)]
 
 
 def _path_digest(ms) -> str:
@@ -433,28 +476,32 @@ def _path_digest(ms) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("vol,n,seed,rep,eps,budget,truncated,digest", _GOLDEN)
-def test_br_golden_outputs(vol, n, seed, rep, eps, budget, truncated, digest):
+def _sample_or_partial(h, grid, rng_stream, epsilon, atom_budget=10 ** 6, retain_margin=1.0):
     try:
-        ms = sample_brown_resnick(_GOLDEN_VOLS[vol], Grid(n), replicate_rng(seed, rep),
-                                  eps, atom_budget=budget)
-        was_truncated = False
+        return sample_brown_resnick(h, grid, rng_stream, epsilon, atom_budget=atom_budget,
+                                    retain_margin=retain_margin), False
     except TruncationError as exc:
-        ms, was_truncated = exc.partial, True
+        return exc.partial, True
+
+
+@pytest.mark.parametrize("vol,n,seed,rep,eps,budget,truncated,digest", _GOLDEN,
+                         ids=_GOLDEN_IDS)
+def test_br_golden_outputs(vol, n, seed, rep, eps, budget, truncated, digest):
+    ms, was_truncated = _sample_or_partial(_GOLDEN_VOLS[vol], Grid(n), replicate_rng(seed, rep),
+                                           eps, budget)
     assert was_truncated == truncated
     assert _path_digest(ms) == digest
 
 
-def _whole_block_oracle(h, grid, rng_stream, epsilon, atom_budget, retain_margin):
-    """Reference for the sampler's row tiles: the same loop with each 64-atom
-    block drawn and processed whole.  Returns (path, truncated)."""
+def _refine_all_oracle(h, grid, rng_stream, epsilon, atom_budget, retain_margin):
+    """Reference for the coarse screen: the sampler's draws, with every atom
+    refined through the same bridge fill by a fresh Philox generator, then
+    the plain per-block loop.  Returns (path, truncated)."""
     n = grid.n
-    variance = h.integrated_power(2, grid.times)
-    step_sd = np.sqrt(np.diff(variance))
-    q_eps = math.sqrt(variance[-1]) * float(-ndtri(epsilon / 2.0))
+    lattice = path_sim._CoarseLattice(h, n)
+    q_eps = math.sqrt(float(lattice.var[-1])) * float(-ndtri(epsilon / 2.0))
+    fine = path_sim._FineNormals(rng_stream.integers(2 ** 64, size=2, dtype=np.uint64))
 
-    normals = np.empty((64, n))
-    z_block = np.empty((64, n + 1))
     run_max = np.full(n + 1, -np.inf)
     kept_log_r, kept_z = [], []
     gamma_tail = 0.0
@@ -464,36 +511,36 @@ def _whole_block_oracle(h, grid, rng_stream, epsilon, atom_budget, retain_margin
 
     while not stopped and generated < atom_budget:
         gaps = rng_stream.standard_exponential(64)
-        rng_stream.standard_normal(out=normals)
+        steps = rng_stream.standard_normal((64, len(lattice.coarse_sd)))
         gammas = gamma_tail + np.cumsum(gaps)
         gamma_tail = float(gammas[-1])
         log_r = -np.log(gammas)
-        normals *= step_sd
-        z_block[:, 0] = 0.0
-        np.cumsum(normals, axis=1, out=z_block[:, 1:])
-        z_block += log_r[:, None]
+        steps *= lattice.coarse_sd
+        zc = np.empty((64, len(lattice.idx)))
+        zc[:, 0] = 0.0
+        np.cumsum(steps, axis=1, out=zc[:, 1:])
+        zc += log_r[:, None]
+        z = lattice.fill(zc, fine.draw(generated + np.arange(64), n))
 
-        block_best = z_block.max(axis=0)
-        run_max = np.where(block_best > run_max, block_best, run_max)
-        current_min = float(run_max.min())
-        cand = np.flatnonzero(z_block.max(axis=1) - current_min > -retain_margin)
-        cand = cand[(z_block[cand] - run_max).max(axis=1) > -retain_margin]
-        kept_log_r.append(log_r[cand])
-        kept_z.append(z_block[cand])
+        run_max = np.maximum(run_max, z.max(axis=0))
+        keep = (z - run_max).max(axis=1) > -retain_margin
+        kept_log_r.append(log_r[keep])
+        kept_z.append(z[keep])
         generated += 64
-        stop_margin = current_min - (float(log_r[-1]) + q_eps)
+        stop_margin = float(run_max.min()) - (float(log_r[-1]) + q_eps)
         stopped = stop_margin > 0.0
 
     z = np.concatenate(kept_z)
     keep = (z - run_max).max(axis=1) > -retain_margin
     path = MaxStablePath(
-        log_eta=GridPath(grid, run_max - 0.5 * variance),
+        log_eta=GridPath(grid, run_max - 0.5 * lattice.var),
         log_r=np.concatenate(kept_log_r)[keep],
         z=z[keep],
         truncation_diag=TruncationDiagnostics(
             atoms_generated=generated,
             stop_rule_margin=float(stop_margin),
             epsilon=float(epsilon),
+            atoms_refined=generated,
         ),
         vol=h,
         retain_margin=float(retain_margin),
@@ -501,33 +548,134 @@ def _whole_block_oracle(h, grid, rng_stream, epsilon, atom_budget, retain_margin
     return path, not stopped
 
 
-@settings(max_examples=200, deadline=None)
-@given(vol=st.sampled_from(sorted(_GOLDEN_VOLS)), n=st.integers(2, 600),
-       tile_log2=st.integers(6, 12), seed=st.integers(0, 2 ** 32 - 1),
-       rep=st.integers(0, 1000),
-       margin=st.sampled_from((0.25, 1.0, 3.0)) | st.floats(0.05, 5.0),
-       eps=st.sampled_from((1e-2, 1e-3, 1e-4, 1e-5)),
-       budget=st.integers(1, 400) | st.just(10 ** 6))
-def test_br_row_tiles_match_whole_blocks(vol, n, tile_log2, seed, rep, margin, eps, budget):
-    # the tile height must change no drawn number, kept atom or diagnostic
-    h, grid = _GOLDEN_VOLS[vol], Grid(n)
-    want, want_truncated = _whole_block_oracle(h, grid, replicate_rng(seed, rep), eps,
-                                               budget, margin)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(path_sim, "_TILE_ELEMS", 2 ** tile_log2)
-        try:
-            got = sample_brown_resnick(h, grid, replicate_rng(seed, rep), eps,
-                                       atom_budget=budget, retain_margin=margin)
-            got_truncated = False
-        except TruncationError as exc:
-            got, got_truncated = exc.partial, True
-    assert got_truncated == want_truncated
+def _assert_same_path(got, want):
     assert got.log_eta.values.tobytes() == want.log_eta.values.tobytes()
     assert got.log_r.tobytes() == want.log_r.tobytes()
     assert got.z.tobytes() == want.z.tobytes()
     assert got.truncation_diag.atoms_generated == want.truncation_diag.atoms_generated
     assert (got.truncation_diag.stop_rule_margin.hex()
             == want.truncation_diag.stop_rule_margin.hex())
+
+
+# The screen drops an atom whose refined path would have mattered with
+# probability at most S * 1e-9 per atom, so these comparisons are exact
+# except on an event of probability about 1e-5 per path.
+@settings(max_examples=200, deadline=None)
+@given(vol=st.sampled_from(sorted(_GOLDEN_VOLS)), n=st.integers(2, 600),
+       fill_log2=st.integers(6, 12), seed=st.integers(0, 2 ** 32 - 1),
+       rep=st.integers(0, 1000),
+       margin=st.sampled_from((0.25, 1.0, 3.0)) | st.floats(0.05, 5.0),
+       eps=st.sampled_from((1e-2, 1e-3, 1e-4, 1e-5)),
+       budget=st.integers(1, 400) | st.just(10 ** 6))
+def test_br_matches_refine_all_oracle(vol, n, fill_log2, seed, rep, margin, eps, budget):
+    # the screen, the Philox generator re-addressed per atom and the
+    # chunk size of the fill (down to one row per chunk) must change no drawn
+    # number, kept atom or diagnostic
+    h, grid = _GOLDEN_VOLS[vol], Grid(n)
+    want, want_truncated = _refine_all_oracle(h, grid, replicate_rng(seed, rep), eps,
+                                              budget, margin)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(path_sim, "_FILL_ELEMS", 2 ** fill_log2)
+        got, got_truncated = _sample_or_partial(h, grid, replicate_rng(seed, rep), eps,
+                                                budget, margin)
+    assert got_truncated == want_truncated
+    _assert_same_path(got, want)
+    assert 1 <= got.truncation_diag.atoms_refined <= got.truncation_diag.atoms_generated
+
+
+def test_br_screen_changes_no_path_at_sigma2():
+    # at sigma = 2 about 900 atoms per path are drawn and about 4% refined
+    h, grid = VolatilitySpec.constant(2.0), Grid(1024)
+    generated = refined = 0
+    for r in range(24):
+        want, _ = _refine_all_oracle(h, grid, replicate_rng(43, r), 1e-3, 10 ** 6, 1.0)
+        got = sample_brown_resnick(h, grid, replicate_rng(43, r), 1e-3)
+        _assert_same_path(got, want)
+        generated += got.truncation_diag.atoms_generated
+        refined += got.truncation_diag.atoms_refined
+    assert refined < 0.1 * generated
+
+
+# H rising from 0.3 to 3 and back every second step of a 50-step grid, so
+# that step variances differ up to tenfold and a bridge must run in
+# int H^2 time, not in clock time, to give each step its own
+_ZIGZAG = VolatilitySpec.table(np.arange(0, 51, 2) / 50, np.where(np.arange(26) % 2, 3.0, 0.3))
+
+
+@pytest.mark.parametrize("vol", [VolatilitySpec.constant(1.5), _ZIGZAG], ids=("sigma1.5", "zigzag"))
+def test_bridge_fill_law(vol):
+    # coarse points drawn from their law and filled: every fine increment over
+    # its exact deviation is N(0, 1), uncorrelated with the next one (across
+    # coarse points too), and the coarse points come back bit for bit
+    grid = Grid(50)                     # 8 coarse segments of 6 or 7 steps
+    lattice = path_sim._CoarseLattice(vol, grid.n)
+    rng = np.random.default_rng(17)
+    rows = 4000
+    zc = lattice.coarse_paths(rng.standard_normal(rows), rng)
+    z = lattice.fill(zc, rng.standard_normal((rows, grid.n)))
+    assert np.array_equal(z[:, lattice.idx], zc)
+    u = np.diff(z, axis=1) / lattice.step_sd
+    pooled = np.sort(u.ravel())
+    m = len(pooled)
+    f = ndtr(pooled)
+    ks = max(np.max(np.arange(1, m + 1) / m - f), np.max(f - np.arange(m) / m))
+    assert ks < 1.95 / math.sqrt(m)     # the 0.1% critical value
+    col_var = u.var(axis=0, ddof=1)
+    assert np.max(np.abs(col_var - 1.0)) < 5 * math.sqrt(2.0 / rows)
+    lag1 = np.mean(u[:, :-1] * u[:, 1:])
+    assert abs(lag1) < 5 / math.sqrt(u[:, 1:].size)
+
+
+@pytest.mark.parametrize("vol", [VolatilitySpec.constant(1.0), _ZIGZAG], ids=("sigma1", "zigzag"))
+def test_screen_keeps_every_atom_that_comes_near(vol):
+    # an atom the screen drops never comes within the margin of the running
+    # maximum on the fine grid; 20,000 atoms started near that level, so
+    # about one in three is dropped
+    grid, margin = Grid(50), 1.0
+    lattice = path_sim._CoarseLattice(vol, grid.n)
+    rng = np.random.default_rng(29)
+    run_max = sample_brownian(grid, rng).values
+    zc = lattice.coarse_paths(rng.uniform(-6.0, 0.0, 20_000), rng)
+    z = lattice.fill(zc, rng.standard_normal((len(zc), grid.n)))
+    near = (z - run_max).max(axis=1) > -margin
+    dropped = np.ones(len(zc), dtype=bool)
+    dropped[lattice.may_reach(zc, run_max, margin)] = False
+    assert not np.any(near & dropped)
+    assert 0.2 < dropped.mean() < 0.8
+
+
+def test_br_per_process_state_changes_no_path():
+    # a call leaves no state behind that a later one reads: replicates of
+    # two configs (different H and n) drawn interleaved here must equal
+    # those a fresh process draws for each config alone
+    configs = ((_GOLDEN_VOLS["table"], Grid(256), 51), (_GOLDEN_VOLS["sigma2"], Grid(1024), 52))
+    reps = range(4)
+
+    def summary(ms):
+        return _path_digest(ms), ms.truncation_diag.atoms_refined
+
+    interleaved = {(c, r): summary(sample_brown_resnick(vol, grid, replicate_rng(seed, r), 1e-3))
+                   for r in reps for c, (vol, grid, seed) in enumerate(configs)}
+    ctx = multiprocessing.get_context("spawn")
+    for c, (vol, grid, seed) in enumerate(configs):
+        with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+            futures = [pool.submit(sample_brown_resnick, vol, grid, replicate_rng(seed, r), 1e-3)
+                       for r in reps]
+            fresh = [summary(f.result(timeout=120)) for f in futures]
+        assert fresh == [interleaved[c, r] for r in reps]
+
+
+def test_br_concurrent_calls_draw_what_serial_calls_draw():
+    # each call owns its Philox generator, so calls running in two threads
+    # of one process give the bytes that the same calls give one by one
+    h, grid = _GOLDEN_VOLS["sigma2"], Grid(4096)
+
+    def digest(r):
+        return _path_digest(sample_brown_resnick(h, grid, replicate_rng(54, r), 1e-3))
+
+    serial = [digest(r) for r in range(8)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert list(pool.map(digest, range(8))) == serial
 
 
 def test_replicate_streams_are_disjoint_and_stable():

@@ -33,7 +33,7 @@ def _two_atom_path(grid: Grid, z1: np.ndarray, z2: np.ndarray,
         log_eta=GridPath(grid, zmat.max(axis=0) - 0.5 * vol.integrated_power(2, grid.times)),
         log_r=np.zeros(2),
         z=zmat,
-        truncation_diag=TruncationDiagnostics(2, math.inf, 1e-3),
+        truncation_diag=TruncationDiagnostics(2, math.inf, 1e-3, 2),
         vol=vol,
         retain_margin=margin,
     )
@@ -211,7 +211,7 @@ def test_bias_functional_matches_pair_loop(data, k, t, vol):
         log_eta=GridPath(grid, zmat.max(axis=0) - 0.5 * vol.integrated_power(2, grid.times)),
         log_r=np.zeros(k),
         z=zmat,
-        truncation_diag=TruncationDiagnostics(64, math.inf, 1e-3),
+        truncation_diag=TruncationDiagnostics(64, math.inf, 1e-3, 64),
         vol=vol,
         retain_margin=math.inf,
     )
