@@ -21,7 +21,6 @@ from .path_sim import (
     Grid,
     GridPath,
     MaxStablePath,
-    SpectralAtom,
     TruncationError,
     VolatilitySpec,
     replicate_rng,

@@ -306,28 +306,26 @@ def _row_or_truncation(fn, cfg: ExperimentConfig, index: int):
         return exc
 
 
-def _map_replicates(cfg: ExperimentConfig, fn, indices) -> tuple:
-    """Run the row function ``fn(cfg, index)`` per index: ``(rows, failures)``,
-    the completed replicates' rows in index order and the TruncationErrors of
-    the others.  Raises the first failure if fewer than two rows complete."""
-    indices = list(indices)
+def _map_replicates(cfg: ExperimentConfig, fn) -> tuple:
+    """Run the row function ``fn(cfg, index)`` for every replicate index:
+    ``(columns, truncated)``, where ``columns`` maps each row key to a float
+    array over the completed replicates in index order, and ``truncated``
+    counts the replicates whose atom budget ran out.  Raises the first
+    failure if fewer than two replicates complete."""
     workers = _resolve_workers()
-    if workers <= 1 or len(indices) < 8:
-        results = [_row_or_truncation(fn, cfg, i) for i in indices]
+    if workers <= 1 or cfg.reps < 8:
+        results = [_row_or_truncation(fn, cfg, i) for i in range(cfg.reps)]
     else:
-        chunk = max(1, len(indices) // (workers * 8))
+        chunk = max(1, cfg.reps // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(functools.partial(_row_or_truncation, fn, cfg),
-                                    indices, chunksize=chunk))
+                                    range(cfg.reps), chunksize=chunk))
     rows = [r for r in results if not isinstance(r, TruncationError)]
     failures = [r for r in results if isinstance(r, TruncationError)]
     if len(rows) < 2:
         raise failures[0]
-    return rows, failures
-
-
-def _columns(rows: list, key: str) -> np.ndarray:
-    return np.array([r[key] for r in rows], dtype=float)
+    columns = {key: np.array([r[key] for r in rows], dtype=float) for key in rows[0]}
+    return columns, len(failures)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +355,8 @@ def _lln_target_and_allowance(cfg: ExperimentConfig):
 def _lln(config: ExperimentConfig) -> tuple:
     """Replicate-mean of B(p)_t against its law-of-large-numbers target,
     with a 3-sigma band plus the predicted O(1/sqrt(n)) mean shift."""
-    rows, failures = _map_replicates(config, _row_lln, range(config.reps))
-    b = _columns(rows, "B")
+    cols, truncated = _map_replicates(config, _row_lln)
+    b = cols["B"]
     mean = float(b.mean())
     stderr = float(b.std(ddof=1) / math.sqrt(len(b)))
     target, allowance = _lln_target_and_allowance(config)
@@ -366,7 +364,7 @@ def _lln(config: ExperimentConfig) -> tuple:
     threshold = 3.0 * stderr + allowance
     aggregate = {
         "mean_B": mean, "stderr_B": stderr, "target": target,
-        "bias_allowance": allowance, "gap": gap, "truncated": len(failures),
+        "bias_allowance": allowance, "gap": gap, "truncated": truncated,
     }
     verdicts = [Verdict(f"lln_{config.model}_p{config.p}", gap, threshold)]
     return {"B": b.tolist()}, aggregate, verdicts
@@ -376,10 +374,10 @@ def _clt(config: ExperimentConfig) -> tuple:
     """Central-limit diagnostics: regression of S = sqrt(n)(B - target) on the
     per-path bias estimate, residual variance, and Gaussianity of the
     standardized residuals."""
-    rows, failures = _map_replicates(config, _row_clt, range(config.reps))
+    cols, truncated = _map_replicates(config, _row_clt)
     p, t = config.p, config.t_eval
-    s = math.sqrt(config.n) * (_columns(rows, "B") - _lln_target(config))
-    x = _columns(rows, "x")
+    s = math.sqrt(config.n) * (cols["B"] - _lln_target(config))
+    x = cols["x"]
     # the bias estimate is (lambda(phi_{p,1}) / 2) * local time for max2bm,
     # and the pair functional itself for br
     slope_target = 0.5 * pv_stats.lambda_phi_unit(p) if config.model == "max2bm" else 1.0
@@ -402,7 +400,7 @@ def _clt(config: ExperimentConfig) -> tuple:
         "slope_target": float(slope_target), "r_squared": r_squared,
         "resid_var": resid_var, "resid_var_target": float(cond_var),
         "ks_std_resid": ks, "mean_S": float(s.mean()), "mean_bhat": float(bhat.mean()),
-        "truncated": len(failures),
+        "truncated": truncated,
     }
     # the regression slope is pinned under constant volatility (max2bm
     # included), Gaussianity of residuals for max2bm only; the remaining
@@ -422,8 +420,8 @@ def _clt(config: ExperimentConfig) -> tuple:
 
 def _marginal(config: ExperimentConfig) -> tuple:
     """Pooled mid-path normalized increments against the exact marginal law."""
-    rows, failures = _map_replicates(config, _row_marginal, range(config.reps))
-    u = _columns(rows, "U")
+    cols, truncated = _map_replicates(config, _row_marginal)
+    u = cols["U"]
     params = increment_law.IncrementLawParams(config.volatility.sigma, config.n)
     ks = ks_statistic(u, lambda q: increment_law.marginal_cdf(q, params))
     ks_threshold = 2.0 / math.sqrt(len(u))       # 1.5x the 5% critical value
@@ -437,7 +435,7 @@ def _marginal(config: ExperimentConfig) -> tuple:
 
     aggregate = {
         "ks": ks, "pooled_abs_moment": pooled, "exact_abs_moment": exact,
-        "pooled_se": pooled_se, "frac_nonpositive": frac_neg, "truncated": len(failures),
+        "pooled_se": pooled_se, "frac_nonpositive": frac_neg, "truncated": truncated,
     }
     verdicts = [
         Verdict("marginal_ks", ks, ks_threshold),
@@ -450,14 +448,13 @@ def _marginal(config: ExperimentConfig) -> tuple:
 def _facts(config: ExperimentConfig) -> tuple:
     """Frechet marginal, Gumbel log-marginal, k=5 max-stability, and two-time
     stationarity, each with its own verdict."""
-    rows, failures = _map_replicates(config, _row_facts, range(config.reps))
-    m = len(rows)                                # completed replicates
-
-    log_eta_03 = _columns(rows, "log_eta_03")
+    cols, truncated = _map_replicates(config, _row_facts)
+    log_eta_03 = cols["log_eta_03"]
+    m = len(log_eta_03)                          # completed replicates
     eta_03 = np.exp(log_eta_03)
-    eta_05 = np.exp(_columns(rows, "log_eta_05"))
-    eta_07 = _columns(rows, "eta_07")
-    kmax = _columns(rows, "eta_07_kmax")
+    eta_05 = np.exp(cols["log_eta_05"])
+    eta_07 = cols["eta_07"]
+    kmax = cols["eta_07_kmax"]
 
     frechet_cdf = lambda z: np.exp(-1.0 / np.maximum(z, 1e-300))
     gumbel_cdf = lambda x: np.exp(-np.exp(-x))
@@ -467,8 +464,7 @@ def _facts(config: ExperimentConfig) -> tuple:
     ks_frechet = ks_statistic(eta_03, frechet_cdf)
     ks_gumbel = ks_statistic(log_eta_03, gumbel_cdf)
     ks_maxstab = ks_statistic_two_sample(kmax, eta_07)
-    ks_station = ks_statistic_two_sample(_columns(rows, "log_eta_02"),
-                                         _columns(rows, "log_eta_08"))
+    ks_station = ks_statistic_two_sample(cols["log_eta_02"], cols["log_eta_08"])
     p_below = float((eta_05 < 1.0).mean())
     p_target = math.exp(-1.0)
     p_se = math.sqrt(p_target * (1 - p_target) / m)
@@ -476,7 +472,7 @@ def _facts(config: ExperimentConfig) -> tuple:
     aggregate = {
         "ks_frechet": ks_frechet, "ks_gumbel": ks_gumbel,
         "ks_maxstability": ks_maxstab, "ks_stationarity": ks_station,
-        "p_eta_below_1": p_below, "truncated": len(failures),
+        "p_eta_below_1": p_below, "truncated": truncated,
     }
     verdicts = [
         Verdict("frechet_marginal", ks_frechet, one_sample),
@@ -485,9 +481,8 @@ def _facts(config: ExperimentConfig) -> tuple:
         Verdict("stationarity", ks_station, two_sample),
         Verdict("frechet_at_one", abs(p_below - p_target), 4 * p_se),
     ]
-    per_rep = {"eta_03": eta_03.tolist(), "log_eta_02": _columns(rows, "log_eta_02").tolist(),
-               "log_eta_08": _columns(rows, "log_eta_08").tolist(),
-               "eta_07_kmax": kmax.tolist()}
+    per_rep = {"eta_03": eta_03.tolist(), "log_eta_02": cols["log_eta_02"].tolist(),
+               "log_eta_08": cols["log_eta_08"].tolist(), "eta_07_kmax": kmax.tolist()}
     return per_rep, aggregate, verdicts
 
 
@@ -522,10 +517,10 @@ def _moment_bias(config: ExperimentConfig) -> tuple:
 
 def _h_recovery(config: ExperimentConfig) -> tuple:
     """Localized volatility recovery through the power-variation LLN."""
-    rows, failures = _map_replicates(config, _row_h_recovery, range(config.reps))
-    mae = _columns(rows, "mae")
+    cols, truncated = _map_replicates(config, _row_h_recovery)
+    mae = cols["mae"]
     mean_mae = float(mae.mean())
-    aggregate = {"mean_interior_mae": mean_mae, "truncated": len(failures)}
+    aggregate = {"mean_interior_mae": mean_mae, "truncated": truncated}
     verdicts = [Verdict("h_recovery_mae", mean_mae, 0.1)]
     return {"mae": mae.tolist()}, aggregate, verdicts
 

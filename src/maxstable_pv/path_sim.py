@@ -27,7 +27,7 @@ its Z path Z_t = log R + int_0^t H dW at S + 1 evenly spaced grid points,
 S = 2^(bit_length(n) // 2), a power of two near sqrt(n).  Between two
 coarse points the fine path is a Brownian bridge in int H^2 time, and the
 bridge's chance of reaching a level c is known in closed form.  Only atoms
-whose coarse path may bring them within ``retain_margin`` of the running
+whose coarse path may bring them within ``RETAIN_MARGIN`` of the running
 maximum are refined to the fine grid; the rest are dropped unseen.  The
 screen drops an atom that would have mattered with probability at most
 S x 1e-9, so a path differs from the series with every atom refined only
@@ -36,13 +36,11 @@ on an event of probability at most atoms x S x 1e-9 (see
 Philox stream (Salmon et al. 2011) addressed by the atom's index, so which
 atoms get refined changes no fine path.
 
-Refined atoms whose Z path ever comes within ``retain_margin`` of the final
+Refined atoms whose Z path ever comes within ``RETAIN_MARGIN`` of the final
 maximum are kept (they are the only ones that can enter the pair local-time
 functionals); the rest are discarded after updating the running maximum.
 The kept atoms are stored as two arrays, their log weights ``log_r`` and
-their Z paths ``z``; the ``SpectralAtom`` objects and the argmax index are
-built from them on first read, so statistics that only need the path pay
-nothing for them.
+their Z paths ``z``, the one form the pair functional reads.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ __all__ = [
     "Grid",
     "GridPath",
     "VolatilitySpec",
-    "SpectralAtom",
     "MaxStablePath",
     "TruncationDiagnostics",
     "TruncationError",
@@ -81,7 +78,9 @@ _FILL_ELEMS = 2 ** 16   # fine values per refined chunk of rows; sets buffer siz
 # cap on the memory of one block whose 64 atoms are all refined: their fine
 # rows plus as much again when the rows are concatenated; allows n up to 2^19 - 1
 _MAX_BLOCK_BYTES = 512 * 2 ** 20
-RETAIN_MARGIN = 1.0     # sampler default; bounds halfwidth/sqrt(n) (pv_stats.check_halfwidth)
+# atoms that may come this close to the maximum are refined, and those that
+# do are kept; it bounds halfwidth/sqrt(n) (pv_stats.check_halfwidth)
+RETAIN_MARGIN = 1.0
 
 
 def replicate_rng(master_seed: int, replicate_index: int) -> np.random.Generator:
@@ -133,10 +132,10 @@ class VolatilitySpec:
     """Deterministic volatility H on [0, 1] with one exact integral.
 
     Three forms: constant sigma, power law a + b s^gamma, and a tabulated
-    function with linear interpolation.  H must be positive on [0, 1], and
-    the power-law exponent must exceed 1/2.  ``value`` evaluates H, and
-    ``integrated_power(p, t)`` = int_0^t H^p ds is the only route to an
-    integral of it.
+    function with linear interpolation.  Every parameter and knot must be
+    finite, H must be positive on [0, 1], and the power-law exponent must
+    exceed 1/2.  ``value`` evaluates H, and ``integrated_power(p, t)`` =
+    int_0^t H^p ds is the only route to an integral of it.
     """
 
     def __init__(self, kind: str, *, sigma=None, a=None, b=None, gamma=None,
@@ -148,6 +147,9 @@ class VolatilitySpec:
             self.sigma = float(sigma)
         elif kind == "power_law":
             a, b, gamma = float(a), float(b), float(gamma)
+            if not all(map(math.isfinite, (a, b, gamma))):
+                raise ValueError(f"power-law parameters must be finite, got a={a}, b={b}, "
+                                 f"gamma={gamma}")
             if gamma <= 0.5:
                 raise ValueError(f"power-law exponent gamma must exceed 1/2, got {gamma}")
             self.a, self.b, self.gamma = a, b, gamma
@@ -160,6 +162,8 @@ class VolatilitySpec:
             h = np.array(h_knots, dtype=float)
             if s.ndim != 1 or s.shape != h.shape or len(s) < 2:
                 raise ValueError("table form needs matching 1-D knot arrays of length >= 2")
+            if not (np.all(np.isfinite(s)) and np.all(np.isfinite(h))):
+                raise ValueError("table knots must be finite")
             if s[0] != 0.0 or s[-1] != 1.0 or np.any(np.diff(s) <= 0):
                 raise ValueError("table abscissae must increase strictly from 0 to 1")
             if np.any(h <= 0):
@@ -268,19 +272,6 @@ def sample_max_two_bm(grid: Grid, rng_stream):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SpectralAtom:
-    """One retained Poisson atom: its weight and spectral path bookkeeping.
-
-    z_path holds Z_t = log R + int_0^t H dW (no drift); log_v_path holds
-    log V_t = Z_t - log R - (1/2) int_0^t H^2 ds.
-    """
-
-    log_r: float
-    log_v_path: GridPath
-    z_path: GridPath
-
-
-@dataclass(frozen=True)
 class TruncationDiagnostics:
     atoms_generated: int
     stop_rule_margin: float
@@ -290,13 +281,12 @@ class TruncationDiagnostics:
 
 @dataclass(frozen=True)
 class MaxStablePath:
-    """A simulated max-stable path with enough atom bookkeeping for the
-    pair local-time bias functionals.
+    """A simulated max-stable path and the atoms kept for the pair
+    local-time bias functional.
 
-    The retained atoms are stored as arrays: ``log_r`` of shape (K,) and
-    ``z`` of shape (K, n+1), row k the Z path of the k-th kept atom in
-    generation order.  ``atoms`` and ``argmax_index`` are built from them
-    on first read.
+    The kept atoms are two arrays: ``log_r`` of shape (K,) and ``z`` of
+    shape (K, n+1), row k the Z path Z_t = log R + int_0^t H dW of the k-th
+    kept atom in generation order.
     """
 
     log_eta: GridPath
@@ -304,7 +294,6 @@ class MaxStablePath:
     z: np.ndarray
     truncation_diag: TruncationDiagnostics
     vol: VolatilitySpec
-    retain_margin: float
 
     def __post_init__(self):
         if self.z.shape != (len(self.log_r), self.grid.n + 1):
@@ -320,14 +309,10 @@ class MaxStablePath:
         """Per grid point, the row of ``z`` attaining the maximum (lowest on ties)."""
         return self.z.argmax(axis=0)
 
-    @functools.cached_property
+    @property
     def atoms(self) -> list:
-        """The retained atoms as ``SpectralAtom`` objects, in generation order."""
-        grid = self.grid
-        drift = 0.5 * self.vol.integrated_power(2, grid.times)
-        return [SpectralAtom(log_r=lr, log_v_path=GridPath(grid, z - lr - drift),
-                             z_path=GridPath(grid, z))
-                for lr, z in zip(self.log_r.tolist(), self.z)]
+        """(log R, Z path) pairs of the kept atoms, in generation order."""
+        return list(zip(self.log_r.tolist(), self.z))
 
 
 def check_epsilon(epsilon: float) -> None:
@@ -450,8 +435,7 @@ class _FineNormals:
 
 
 def sample_brown_resnick(h: VolatilitySpec, grid: Grid, rng_stream,
-                         epsilon: float, *, atom_budget: int = 1_000_000,
-                         retain_margin: float = RETAIN_MARGIN) -> MaxStablePath:
+                         epsilon: float, *, atom_budget: int = 1_000_000) -> MaxStablePath:
     """Truncated-series simulation of the max-stable path eta = max R_i V_i.
 
     Draw order.  First a 128-bit Philox key from ``rng_stream``.  Then, per
@@ -468,7 +452,7 @@ def sample_brown_resnick(h: VolatilitySpec, grid: Grid, rng_stream,
     (see ``_CoarseLattice.may_reach``).  Hot atoms get their whole fine
     path and fold it into the running maximum.  Cold atoms are neither
     refined nor kept.  The stop rule reads the running maximum at the end
-    of a block, and the refined atoms that come within ``retain_margin`` of
+    of a block, and the refined atoms that come within ``RETAIN_MARGIN`` of
     the final running maximum are kept.
 
     Error.  The running maximum only grows, so a cold atom would have
@@ -486,8 +470,6 @@ def sample_brown_resnick(h: VolatilitySpec, grid: Grid, rng_stream,
     before any draw.
     """
     check_epsilon(epsilon)
-    if not (np.isfinite(retain_margin) and retain_margin > 0):
-        raise ValueError(f"retain_margin must be positive and finite, got {retain_margin}")
     if not (isinstance(atom_budget, (int, np.integer)) and atom_budget >= 1):
         raise ValueError(f"atom_budget must be an integer >= 1, got {atom_budget!r}")
     n = grid.n
@@ -514,14 +496,14 @@ def sample_brown_resnick(h: VolatilitySpec, grid: Grid, rng_stream,
         log_r = -np.log(gammas)
         zc = lattice.coarse_paths(log_r, rng_stream)
         for lo, hi in _FIRST_BLOCK_TILES if generated == 0 else ((0, _BLOCK_SIZE),):
-            hot = lo + lattice.may_reach(zc[lo:hi], run_max, retain_margin)
+            hot = lo + lattice.may_reach(zc[lo:hi], run_max, RETAIN_MARGIN)
             for c in range(0, hot.size, chunk):
                 rows = hot[c:c + chunk]
                 z = lattice.fill(zc[rows], fine.draw(generated + rows, n))
                 run_max = np.maximum(run_max, z.max(axis=0))
                 # run_max only grows, and rounding is monotone: this keeps a
                 # superset of what the final test keeps
-                keep = (z - run_max).max(axis=1) > -retain_margin
+                keep = (z - run_max).max(axis=1) > -RETAIN_MARGIN
                 kept_log_r.append(log_r[rows[keep]])
                 kept_z.append(z[keep])
                 refined += rows.size
@@ -532,7 +514,7 @@ def sample_brown_resnick(h: VolatilitySpec, grid: Grid, rng_stream,
     # the first generated atom attaining the maximum is always kept, so the
     # arrays are never empty
     z = np.concatenate(kept_z)
-    keep = (z - run_max).max(axis=1) > -retain_margin
+    keep = (z - run_max).max(axis=1) > -RETAIN_MARGIN
     path = MaxStablePath(
         log_eta=GridPath(grid, run_max - 0.5 * lattice.var),
         log_r=np.concatenate(kept_log_r)[keep],
@@ -544,7 +526,6 @@ def sample_brown_resnick(h: VolatilitySpec, grid: Grid, rng_stream,
             atoms_refined=refined,
         ),
         vol=h,
-        retain_margin=float(retain_margin),
     )
     if not stopped:
         raise TruncationError(

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import gauss_kernels
 from .gauss_kernels import _check_order
-from .path_sim import GridPath, MaxStablePath
+from .path_sim import RETAIN_MARGIN, GridPath, MaxStablePath
 
 __all__ = [
     "power_variation",
@@ -131,7 +131,7 @@ def clt_bias_functional(ms_path: MaxStablePath, p: int, t: float,
     p = _check_order(p)
     grid = ms_path.grid
     n = grid.n
-    check_halfwidth(halfwidth, n, ms_path.retain_margin)
+    check_halfwidth(halfwidth, n, RETAIN_MARGIN)
     if ms_path.z.shape[0] < 2:
         # a lone retained atom forms no pair, so the pair sum is empty
         return 0.0

@@ -183,7 +183,8 @@ def test_criterion_06_clt_suite():
 
 def _criterion_07_row(cfg, r):
     _, diff = sample_max_two_bm(Grid(cfg.n), replicate_rng(cfg.master_seed, r))
-    return pv_stats.local_time_kernel(diff, 1.0, 2.0), pv_stats.local_time_tanaka(diff, 1.0)
+    return {"kernel": pv_stats.local_time_kernel(diff, 1.0, 2.0),
+            "tanaka": pv_stats.local_time_tanaka(diff, 1.0)}
 
 
 @pytest.fixture(scope="module")
@@ -191,9 +192,8 @@ def local_time_estimates():
     # replicate r draws from its own stream, so the pool changes no number
     cfg = mh.ExperimentConfig(experiment="lln", model="max2bm", n=2 ** 16,
                               reps=10_000, master_seed=MASTER_SEED)
-    rows, _ = mh._map_replicates(cfg, _criterion_07_row, range(cfg.reps))
-    kern, tank = (np.array(col) for col in zip(*rows))
-    return kern, tank
+    cols, _ = mh._map_replicates(cfg, _criterion_07_row)
+    return cols["kernel"], cols["tanaka"]
 
 
 def test_criterion_07_local_time_means(local_time_estimates):

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from maxstable_pv import cli, mc_harness, pv_stats
-from maxstable_pv.path_sim import Grid, VolatilitySpec, replicate_rng, sample_brown_resnick
+from maxstable_pv.path_sim import (
+    Grid,
+    VolatilitySpec,
+    replicate_rng,
+    sample_brown_resnick,
+    sample_max_two_bm,
+)
 
 
 def run_cli(*argv):
@@ -83,6 +89,27 @@ def test_simulate_deterministic_and_powervar_roundtrip(tmp_path):
         ms = sample_brown_resnick(vol, Grid(128), replicate_rng(5, rep), 1e-3)
         expected = pv_stats.power_variation(ms.log_eta, 2, 1.0)
         assert got[rep] == expected      # bit-exact through the CSV boundary
+
+
+def test_simulate_max2bm(tmp_path):
+    out1 = tmp_path / "a.csv"
+    out2 = tmp_path / "b.csv"
+    n, reps, seed = 32, 3, 4
+    args = ["simulate", "--model", "max2bm", "--n", str(n), "--reps", str(reps),
+            "--seed", str(seed)]
+    assert run_cli(*args, "--out", str(out1)) == 0
+    assert run_cli(*args, "--out", str(out2)) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    lines = out1.read_text().splitlines()
+    assert lines[0] == "replicate,i,t,value"
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == reps * (n + 1)
+    for r in range(reps):
+        mx, _ = sample_max_two_bm(Grid(n), replicate_rng(seed, r))
+        mine = rows[r * (n + 1):(r + 1) * (n + 1)]
+        assert [(int(row[0]), int(row[1])) for row in mine] == [(r, i) for i in range(n + 1)]
+        # repr round-trips, so the values come back bit for bit
+        assert np.array_equal([float(row[3]) for row in mine], mx.values)
 
 
 def test_simulate_h_table_file(tmp_path):
@@ -180,6 +207,10 @@ _POWER_LAW = {"form": "power_law", "a": 1.0, "b": 1.0, "gamma": 1.0}
      "moment_bias requires a constant volatility"),
     ([], {"experiment": "marginal_increment", "sigma": None, "h_spec": _POWER_LAW},
      "marginal_increment requires a constant volatility"),
+    # json.load reads NaN, which the spec must refuse before the pool starts
+    ([], {"experiment": "lln", "n": 64, "reps": 16, "sigma": None,
+          "h_spec": {"form": "power_law", "a": float("nan"), "b": 1.0}},
+     "power-law parameters must be finite"),
     # the library's own range checks (sampler epsilon, kernel halfwidth,
     # estimate_h window) run when the config is built
     (["--experiment", "lln", "--epsilon", "0"], None, "epsilon must lie in (0, 0.01]"),
@@ -191,7 +222,8 @@ _POWER_LAW = {"form": "power_law", "a": 1.0, "b": 1.0, "gamma": 1.0}
     (["--experiment", "clt", "--p", "-1"], None, "order p must be a positive integer"),
 ], ids=("marginal-max2bm", "frechet-max2bm", "estimate_h-no-window", "max2bm-sigma2",
         "max2bm-h_spec", "malformed-h_spec", "moment_bias-power", "marginal-power",
-        "epsilon-0", "halfwidth-0", "halfwidth-100", "window-4", "lln-p0", "clt-p-1"))
+        "power-law-nan", "epsilon-0", "halfwidth-0", "halfwidth-100", "window-4", "lln-p0",
+        "clt-p-1"))
 def test_verify_runner_preconditions_exit_2(argv, file_cfg, message, tmp_path,
                                             monkeypatch, capsys):
     # each config breaks a precondition of its experiment or model; building
@@ -217,11 +249,13 @@ def test_verify_runner_preconditions_exit_2(argv, file_cfg, message, tmp_path,
     # the max of two standard Brownian motions has unit volatility
     ["simulate", "--model", "max2bm", "--n", "8", "--sigma", "2"],
     ["simulate", "--model", "max2bm", "--n", "8", "--h-spec", "empty.csv"],
+    ["simulate", "--model", "br", "--n", "8", "--h-spec", "nan.csv"],
 ], ids=("powervar", "powervar-empty", "estimate-h", "simulate", "simulate-epsilon",
-        "simulate-max2bm-sigma2", "simulate-max2bm-h-spec"))
+        "simulate-max2bm-sigma2", "simulate-max2bm-h-spec", "simulate-h-spec-nan"))
 def test_bad_input_leaves_existing_out_untouched(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "nan.csv").write_text("s,H\n0.0,1.0\n0.5,nan\n1.0,1.0\n")
     keep = tmp_path / "keep.csv"
     keep.write_text("old\n")
     assert run_cli(*argv, "--out", str(keep)) == 2

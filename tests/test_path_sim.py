@@ -41,7 +41,7 @@ def test_grid_and_path_validation():
     vol = VolatilitySpec.constant(1.0)
     for log_r, z in ((np.zeros(2), np.zeros((2, 8))), (np.zeros(1), np.zeros((2, 9)))):
         with pytest.raises(ValueError, match="z must have shape"):
-            MaxStablePath(GridPath(g, np.zeros(9)), log_r, z, diag, vol, 1.0)
+            MaxStablePath(GridPath(g, np.zeros(9)), log_r, z, diag, vol)
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +89,15 @@ def test_volatility_validation():
         VolatilitySpec.table([0.0, 0.5], [1.0, 1.0])      # does not reach s = 1
     with pytest.raises(ValueError):
         VolatilitySpec.table([0.0, 1.0], [1.0, -1.0])
+    # json.load parses NaN and Infinity, so non-finite parameters reach here
+    nan, inf = float("nan"), float("inf")
+    for a, b, gamma in ((nan, 1.0, 1.0), (1.0, inf, 1.0), (1.0, 1.0, nan), (inf, 1.0, 1.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            VolatilitySpec.power_law(a, b, gamma)
+    for s_knots, h_knots in (([0.0, 0.5, 1.0], [1.0, nan, 1.0]), ([0.0, 1.0], [1.0, inf]),
+                             ([0.0, nan, 1.0], [1.0, 1.0, 1.0])):
+        with pytest.raises(ValueError, match="must be finite"):
+            VolatilitySpec.table(s_knots, h_knots)
 
 
 def test_integrated_power_closed_forms():
@@ -257,14 +266,6 @@ def test_br_atom_budget_validation():
             sample_brown_resnick(vol, grid, replicate_rng(0, 0), 1e-3, atom_budget=budget)
 
 
-def test_br_retain_margin_validation():
-    grid = Grid(16)
-    vol = VolatilitySpec.constant(1.0)
-    for margin in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="retain_margin"):
-            sample_brown_resnick(vol, grid, replicate_rng(0, 0), 1e-3, retain_margin=margin)
-
-
 def test_br_block_memory_guard():
     class NoDraws:
         def __getattr__(self, name):
@@ -300,19 +301,14 @@ def test_br_bookkeeping_identity():
     vol = VolatilitySpec.power_law(1.0, 1.0, 1.0)
     ms = sample_brown_resnick(vol, grid, replicate_rng(29, 0), 1e-3)
     drift = 0.5 * vol.integrated_power(2, grid.times)
-    z = np.stack([a.z_path.values for a in ms.atoms])
-    # the atoms are built from the retained arrays, row for row
-    assert np.array_equal(z, ms.z)
-    assert np.array_equal([a.log_r for a in ms.atoms], ms.log_r)
+    z = ms.z
+    assert z.shape == (len(ms.log_r), grid.n + 1) and len(ms.atoms) == len(ms.log_r)
     recon = z.max(axis=0) - drift
     assert np.array_equal(recon, ms.log_eta.values)
     # argmax consistent with the max, ties broken by lowest index
     assert np.array_equal(z.argmax(axis=0), ms.argmax_index)
-    # atom drift bookkeeping: z = log_r + log_v + drift, pointwise to 1e-12
-    for atom in ms.atoms:
-        lhs = atom.z_path.values
-        rhs = atom.log_r + atom.log_v_path.values + drift
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
+    # each kept atom's Z path starts at its log weight: Z_0 = log R
+    assert np.array_equal(z[:, 0], ms.log_r)
 
 
 def test_br_deterministic():
@@ -321,9 +317,8 @@ def test_br_deterministic():
     a = sample_brown_resnick(vol, grid, replicate_rng(31, 5), 1e-3)
     b = sample_brown_resnick(vol, grid, replicate_rng(31, 5), 1e-3)
     assert np.array_equal(a.log_eta.values, b.log_eta.values)
-    assert len(a.atoms) == len(b.atoms)
-    for x, y in zip(a.atoms, b.atoms):
-        assert np.array_equal(x.z_path.values, y.z_path.values)
+    assert np.array_equal(a.log_r, b.log_r)
+    assert np.array_equal(a.z, b.z)
     assert a.truncation_diag == b.truncation_diag
 
 
@@ -435,51 +430,29 @@ _GOLDEN = [
 ]
 
 
-# Each case is named by its parameters and the digest it was first pinned
-# with, in _GOLDEN's order; a re-pin changes the checked digest, not the
-# name, so a case keeps one test id across re-pins.
-_GOLDEN_FIRST_PINNED = [
-    "7141cbe1e9759861aaeacf3eea9281ab088c5211fddc05645443f7395b9823e5",
-    "9f132f53fae5ceb37735b14e933255222884cfbb6795342cc07565850a87b091",
-    "18b03c7f58d836663a62a86d8a465a2e77566ca40b933ab5a7ce4310a0aa2c7f",
-    "d6b9695180161cf2d4024e2b14e534db44f3d989df5ecb006fec79af968b3252",
-    "201dae643114d4a39f2f72a2c9ef087e05f63f400e1f366babe5063b06faff00",
-    "9c4c841d2266ff6754d8458476b9be0a15135c710e8340897d717751895cfbd8",
-    "0055efee462561ef13ee16cca606dd22027f455104b18c11a9bb58fc776090df",
-    "0e662d9203e34277bd32efecdd5c8073d161f2ddc2da1d164c8917542cd1afe9",
-    "ee89fa12f98cbd5e613a1e71f5000646142da09ad8ebf0bf45a2d1c202886c8a",
-    "fc498df32340e0ca5adfed5f1eeeab6bd0b25500d04ac03ad51c00927eeea90e",
-    "20e299cc4a21712b67cd4f75f2db1ce734da5535e9177d71ffdede93632369da",
-    "dbc8b4b142c113cb2b249f3795891968999cdd7a4766b800b651cf00edc89590",
-    "1db452473930dae8531b1fabb5413d0c6261a6600b280c14d112e8b333855357",
-    "bd5c92665206b6beb55f0b89a6c5aa5441e6f70adf32ef4e0b55a69dfead06d6",
-    "ef7bc4581f3b076d6502b8a6e64af87422cdaf27769ace5c2409c9bb871d9d0b",
-    "85ac736c19eee95915a3861af39bcabd8050abc058d790777cb80b1b8b650d12",
-    "dea83e28cbb7c1cc6f4698db6bf6336fb7834c614dc8966e17ef3221f43ff613",
-    "f18ea704dc5d8ddcf75d5c809da5f5ad4a7c8ffce7ecbf2f01af22f9f3039d85",
-]
-_GOLDEN_IDS = ["-".join(map(str, case[:-1] + (first,)))
-               for case, first in zip(_GOLDEN, _GOLDEN_FIRST_PINNED, strict=True)]
+_GOLDEN_IDS = ["-".join(map(str, case[:-1])) for case in _GOLDEN]
 
 
 def _path_digest(ms) -> str:
     h = hashlib.sha256()
     h.update(ms.log_eta.values.astype("<f8").tobytes())
-    for atom in ms.atoms:
-        h.update(np.float64(atom.log_r).astype("<f8").tobytes())
-        h.update(atom.z_path.values.astype("<f8").tobytes())
-        h.update(atom.log_v_path.values.astype("<f8").tobytes())
+    drift = 0.5 * ms.vol.integrated_power(2, ms.grid.times)
+    # per kept atom: log R as a Python float, its Z path, and its log V path
+    # Z - log R - drift, in that order of operations
+    for lr, z in zip(ms.log_r.tolist(), ms.z):
+        h.update(np.float64(lr).astype("<f8").tobytes())
+        h.update(z.astype("<f8").tobytes())
+        h.update((z - lr - drift).astype("<f8").tobytes())
     h.update(ms.argmax_index.astype("<i8").tobytes())
     d = ms.truncation_diag
-    h.update(f"{len(ms.atoms)}|{d.atoms_generated}|{d.stop_rule_margin.hex()}"
+    h.update(f"{len(ms.log_r)}|{d.atoms_generated}|{d.stop_rule_margin.hex()}"
              f"|{d.epsilon.hex()}".encode())
     return h.hexdigest()
 
 
-def _sample_or_partial(h, grid, rng_stream, epsilon, atom_budget=10 ** 6, retain_margin=1.0):
+def _sample_or_partial(h, grid, rng_stream, epsilon, atom_budget=10 ** 6):
     try:
-        return sample_brown_resnick(h, grid, rng_stream, epsilon, atom_budget=atom_budget,
-                                    retain_margin=retain_margin), False
+        return sample_brown_resnick(h, grid, rng_stream, epsilon, atom_budget=atom_budget), False
     except TruncationError as exc:
         return exc.partial, True
 
@@ -493,7 +466,7 @@ def test_br_golden_outputs(vol, n, seed, rep, eps, budget, truncated, digest):
     assert _path_digest(ms) == digest
 
 
-def _refine_all_oracle(h, grid, rng_stream, epsilon, atom_budget, retain_margin):
+def _refine_all_oracle(h, grid, rng_stream, epsilon, atom_budget):
     """Reference for the coarse screen: the sampler's draws, with every atom
     refined through the same bridge fill by a fresh Philox generator, then
     the plain per-block loop.  Returns (path, truncated)."""
@@ -523,7 +496,7 @@ def _refine_all_oracle(h, grid, rng_stream, epsilon, atom_budget, retain_margin)
         z = lattice.fill(zc, fine.draw(generated + np.arange(64), n))
 
         run_max = np.maximum(run_max, z.max(axis=0))
-        keep = (z - run_max).max(axis=1) > -retain_margin
+        keep = (z - run_max).max(axis=1) > -path_sim.RETAIN_MARGIN
         kept_log_r.append(log_r[keep])
         kept_z.append(z[keep])
         generated += 64
@@ -531,7 +504,7 @@ def _refine_all_oracle(h, grid, rng_stream, epsilon, atom_budget, retain_margin)
         stopped = stop_margin > 0.0
 
     z = np.concatenate(kept_z)
-    keep = (z - run_max).max(axis=1) > -retain_margin
+    keep = (z - run_max).max(axis=1) > -path_sim.RETAIN_MARGIN
     path = MaxStablePath(
         log_eta=GridPath(grid, run_max - 0.5 * lattice.var),
         log_r=np.concatenate(kept_log_r)[keep],
@@ -543,7 +516,6 @@ def _refine_all_oracle(h, grid, rng_stream, epsilon, atom_budget, retain_margin)
             atoms_refined=generated,
         ),
         vol=h,
-        retain_margin=float(retain_margin),
     )
     return path, not stopped
 
@@ -564,20 +536,17 @@ def _assert_same_path(got, want):
 @given(vol=st.sampled_from(sorted(_GOLDEN_VOLS)), n=st.integers(2, 600),
        fill_log2=st.integers(6, 12), seed=st.integers(0, 2 ** 32 - 1),
        rep=st.integers(0, 1000),
-       margin=st.sampled_from((0.25, 1.0, 3.0)) | st.floats(0.05, 5.0),
        eps=st.sampled_from((1e-2, 1e-3, 1e-4, 1e-5)),
        budget=st.integers(1, 400) | st.just(10 ** 6))
-def test_br_matches_refine_all_oracle(vol, n, fill_log2, seed, rep, margin, eps, budget):
+def test_br_matches_refine_all_oracle(vol, n, fill_log2, seed, rep, eps, budget):
     # the screen, the Philox generator re-addressed per atom and the
     # chunk size of the fill (down to one row per chunk) must change no drawn
     # number, kept atom or diagnostic
     h, grid = _GOLDEN_VOLS[vol], Grid(n)
-    want, want_truncated = _refine_all_oracle(h, grid, replicate_rng(seed, rep), eps,
-                                              budget, margin)
+    want, want_truncated = _refine_all_oracle(h, grid, replicate_rng(seed, rep), eps, budget)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(path_sim, "_FILL_ELEMS", 2 ** fill_log2)
-        got, got_truncated = _sample_or_partial(h, grid, replicate_rng(seed, rep), eps,
-                                                budget, margin)
+        got, got_truncated = _sample_or_partial(h, grid, replicate_rng(seed, rep), eps, budget)
     assert got_truncated == want_truncated
     _assert_same_path(got, want)
     assert 1 <= got.truncation_diag.atoms_refined <= got.truncation_diag.atoms_generated
@@ -588,7 +557,7 @@ def test_br_screen_changes_no_path_at_sigma2():
     h, grid = VolatilitySpec.constant(2.0), Grid(1024)
     generated = refined = 0
     for r in range(24):
-        want, _ = _refine_all_oracle(h, grid, replicate_rng(43, r), 1e-3, 10 ** 6, 1.0)
+        want, _ = _refine_all_oracle(h, grid, replicate_rng(43, r), 1e-3, 10 ** 6)
         got = sample_brown_resnick(h, grid, replicate_rng(43, r), 1e-3)
         _assert_same_path(got, want)
         generated += got.truncation_diag.atoms_generated

@@ -25,8 +25,7 @@ def _linear_path(grid: Grid, c: float) -> GridPath:
     return GridPath(grid, c * grid.times)
 
 
-def _two_atom_path(grid: Grid, z1: np.ndarray, z2: np.ndarray,
-                   vol=None, margin=math.inf) -> MaxStablePath:
+def _two_atom_path(grid: Grid, z1: np.ndarray, z2: np.ndarray, vol=None) -> MaxStablePath:
     vol = vol or VolatilitySpec.constant(1.0)
     zmat = np.stack([z1, z2])
     return MaxStablePath(
@@ -35,7 +34,6 @@ def _two_atom_path(grid: Grid, z1: np.ndarray, z2: np.ndarray,
         z=zmat,
         truncation_diag=TruncationDiagnostics(2, math.inf, 1e-3, 2),
         vol=vol,
-        retain_margin=margin,
     )
 
 
@@ -72,10 +70,15 @@ def test_power_variation_homogeneity_and_shift(n, seed, p, t, k, shift):
 
 
 def test_power_variation_early_times_zero():
+    # t < 2/n leaves no increment before the horizon: every sum is empty
     grid = Grid(64)
     path = sample_brownian(grid, replicate_rng(1, 1))
-    assert pv_stats.power_variation(path, 2, 0.0) == 0.0
-    assert pv_stats.power_variation(path, 2, 1.0 / 64.0) == 0.0
+    pair = _two_atom_path(grid, path.values, path.values)   # the pair fires at every step
+    for t in (0.0, 1.0 / 64.0, 1.9 / 64.0):
+        assert pv_stats.power_variation(path, 2, t) == 0.0
+        assert pv_stats.local_time_kernel(path, t, 1.0) == 0.0
+        assert pv_stats.clt_bias_functional(pair, 2, t, 1.0) == 0.0
+    assert pv_stats.clt_bias_functional(pair, 2, 3.0 / 64.0, 1.0) != 0.0
     with pytest.raises(ValueError):
         pv_stats.power_variation(path, 0, 1.0)
 
@@ -133,7 +136,7 @@ def test_bias_functional_needs_two_atoms():
     grid = Grid(64)
     path = _two_atom_path(grid, np.zeros(65), np.ones(65))
     lone = MaxStablePath(path.log_eta, path.log_r[:1], path.z[:1],
-                         path.truncation_diag, path.vol, path.retain_margin)
+                         path.truncation_diag, path.vol)
     # a lone retained atom forms no pair: the functional is zero, not an error
     assert pv_stats.clt_bias_functional(lone, 2, 1.0, 1.0) == 0.0
 
@@ -177,7 +180,7 @@ def _pair_loop_bias(ms_path: MaxStablePath, p: int, t: float, halfwidth: float) 
     m = grid.last_increment(t)
     if m <= 1:
         return 0.0
-    Z = np.stack([a.z_path.values[: m - 1] for a in ms_path.atoms])
+    Z = ms_path.z[:, : m - 1]
     K = Z.shape[0]
     thr = halfwidth / math.sqrt(n)
     total = 0.0
@@ -213,7 +216,6 @@ def test_bias_functional_matches_pair_loop(data, k, t, vol):
         z=zmat,
         truncation_diag=TruncationDiagnostics(64, math.inf, 1e-3, 64),
         vol=vol,
-        retain_margin=math.inf,
     )
     got = pv_stats.clt_bias_functional(ms, 2, t, 1.0)
     assert got == _pair_loop_bias(ms, 2, t, 1.0)
@@ -241,10 +243,11 @@ def test_bias_functional_interval_additivity():
 
 
 def test_bias_functional_halfwidth_guard():
+    # h/sqrt(n) = 8/8 reaches the sampler's retain margin of 1
     grid = Grid(64)
-    path = _two_atom_path(grid, np.zeros(65), np.ones(65), margin=0.05)
-    with pytest.raises(ValueError):
-        pv_stats.clt_bias_functional(path, 2, 1.0, 1.0)
+    path = _two_atom_path(grid, np.zeros(65), np.ones(65))
+    with pytest.raises(ValueError, match="retain margin"):
+        pv_stats.clt_bias_functional(path, 2, 1.0, 8.0)
 
 
 # ---------------------------------------------------------------------------
