@@ -9,7 +9,6 @@ from .gauss_kernels import (
     lambda_integral,
     phi_kernel,
     phi2_kernel,
-    psi,
 )
 from .increment_law import (
     IncrementLawParams,

@@ -30,6 +30,7 @@ from .path_sim import (
     TruncationError,
     VolatilitySpec,
     check_epsilon,
+    check_grid_size,
     replicate_rng,
     sample_brown_resnick,
     sample_max_two_bm,
@@ -98,12 +99,11 @@ def _cmd_tabulate_increment_law(args) -> int:
 
 def _cmd_simulate(args) -> int:
     grid = Grid(args.n)
+    vol = mc_harness.resolve_volatility(
+        args.model, args.sigma, _load_h_spec(args.h_spec) if args.h_spec else None)
     if args.model == "br":
-        vol = _load_h_spec(args.h_spec) if args.h_spec else VolatilitySpec.constant(args.sigma)
         check_epsilon(args.epsilon)
-    elif args.h_spec or args.sigma != 1.0:
-        raise ValueError("model 'max2bm' has unit volatility: give no --h-spec and "
-                         f"--sigma 1, got sigma={args.sigma!r}")
+        check_grid_size(args.n)
     with _output(args.out) as fh:
         writer = csv.writer(fh)
         if args.model == "br":
@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--reps", type=int, default=1)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--sigma", type=float, default=1.0)
+    s.add_argument("--sigma", type=float, default=None, help="constant H (default 1)")
     s.add_argument("--h-spec", default=None, help="CSV of (s, H_s) knots")
     s.add_argument("--epsilon", type=float, default=1e-3)
     s.add_argument("--out", default=None)

@@ -42,7 +42,6 @@ from .quadrature import QuadratureConfig, adaptive_gauss_kronrod
 
 __all__ = [
     "abs_moment",
-    "psi",
     "phi_kernel",
     "phi2_kernel",
     "lambda_integral",
@@ -67,17 +66,6 @@ def abs_moment(p: float) -> float:
     if not (np.isfinite(p) and p >= 1):
         raise ValueError(f"abs_moment requires finite p >= 1, got {p}")
     return 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
-
-
-def psi(p: int, x, y, w):
-    """Pointwise two-sided kernel psi_p(x, y, w); total function, 0 off the indicators."""
-    _check_order(p)
-    x, y, w = np.asarray(x, float), np.asarray(y, float), np.asarray(w, float)
-    d = x - y
-    b1 = np.where((d <= w) & (w <= 0), np.abs(y + w) ** p - np.abs(x) ** p, 0.0)
-    b2 = np.where((0 <= w) & (w <= d), np.abs(x - w) ** p - np.abs(y) ** p, 0.0)
-    out = b1 + b2
-    return float(out) if out.ndim == 0 else out
 
 
 def _check_order(p) -> int:

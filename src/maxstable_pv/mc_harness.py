@@ -61,6 +61,7 @@ from .path_sim import (
     TruncationError,
     VolatilitySpec,
     check_epsilon,
+    check_grid_size,
     replicate_rng,
     sample_brown_resnick,
     sample_max_two_bm,
@@ -74,8 +75,24 @@ __all__ = [
     "ks_statistic",
     "ks_statistic_two_sample",
     "run_experiment",
+    "resolve_volatility",
     "EXPERIMENTS",
 ]
+
+
+def resolve_volatility(model: str, sigma: float | None,
+                       h_spec: VolatilitySpec | None) -> VolatilitySpec:
+    """max2bm has unit volatility: no H spec, and sigma 1 or None.  br takes
+    sigma or an H spec, not both; sigma None without a spec means 1."""
+    if model == "max2bm" and (h_spec is not None or sigma not in (None, 1.0)):
+        raise ValueError("model 'max2bm' has unit volatility: give no h_spec and "
+                         f"sigma 1 or null, got sigma={sigma!r}")
+    if h_spec is None:
+        return VolatilitySpec.constant(1.0 if sigma is None else sigma)
+    if sigma is not None:
+        raise ValueError("model 'br' takes one of sigma / h_spec, not both")
+    return h_spec
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -109,18 +126,8 @@ class ExperimentConfig:
             raise ValueError(f"n must be a power of two >= 2, got {self.n}")
         if not 0.0 < self.t_eval <= 1.0:
             raise ValueError(f"t_eval must lie in (0, 1], got {self.t_eval}")
-        if self.model == "max2bm" and (self.h_spec is not None or self.sigma not in (None, 1.0)):
-            raise ValueError("model 'max2bm' has unit volatility: give no h_spec and "
-                             f"sigma 1 or null, got sigma={self.sigma!r}")
-        if self.model == "br" and (self.sigma is None) == (self.h_spec is None):
-            raise ValueError("model 'br' needs exactly one of sigma / h_spec")
-        if self.h_spec is None:
-            vol = VolatilitySpec.constant(1.0 if self.model == "max2bm" else self.sigma)
-        else:
-            try:
-                vol = VolatilitySpec.from_dict(self.h_spec)
-            except (KeyError, TypeError) as exc:
-                raise ValueError(f"malformed h_spec {self.h_spec!r}: {exc!r}") from exc
+        spec = None if self.h_spec is None else VolatilitySpec.from_dict(self.h_spec)
+        vol = resolve_volatility(self.model, self.sigma, spec)
         # an attribute, not a field: the report's config and hash stay as given
         object.__setattr__(self, "volatility", vol)
         if self.model != "br" and self.experiment in ("frechet", "marginal_increment",
@@ -131,6 +138,7 @@ class ExperimentConfig:
         # the library's own range checks, so that they fail before the pool
         if self.model == "br":
             check_epsilon(self.epsilon)
+            check_grid_size(self.n)
         if self.experiment == "clt":
             pv_stats.check_halfwidth(self.halfwidth, self.n,
                                      RETAIN_MARGIN if self.model == "br" else math.inf)

@@ -64,6 +64,7 @@ __all__ = [
     "sample_brown_resnick",
     "replicate_rng",
     "check_epsilon",
+    "check_grid_size",
     "RETAIN_MARGIN",
 ]
 
@@ -189,13 +190,16 @@ class VolatilitySpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VolatilitySpec":
-        form = d["form"]
-        if form == "constant":
-            return cls.constant(d["sigma"])
-        if form == "power_law":
-            return cls.power_law(d["a"], d["b"], d.get("gamma", 1.0))
-        if form == "table":
-            return cls.table(d["s"], d["h"])
+        try:
+            form = d["form"]
+            if form == "constant":
+                return cls.constant(d["sigma"])
+            if form == "power_law":
+                return cls.power_law(d["a"], d["b"], d.get("gamma", 1.0))
+            if form == "table":
+                return cls.table(d["s"], d["h"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed h_spec {d!r}: {exc!r}") from exc
         raise ValueError(f"unknown volatility form {form!r}")
 
     # -- evaluation ---------------------------------------------------------
@@ -319,6 +323,14 @@ def check_epsilon(epsilon: float) -> None:
     """The stop rule's per-atom miss probability must lie in (0, 0.01]."""
     if not (np.isfinite(epsilon) and 0.0 < epsilon <= 0.01):
         raise ValueError(f"epsilon must lie in (0, 0.01], got {epsilon}")
+
+
+def check_grid_size(n: int) -> None:
+    """A block whose 64 atoms are all refined must fit in _MAX_BLOCK_BYTES."""
+    block_bytes = 2 * _BLOCK_SIZE * (n + 1) * 8
+    if block_bytes > _MAX_BLOCK_BYTES:
+        raise ValueError(f"n={n} needs {block_bytes} bytes for one fully kept block, above "
+                         f"the cap of {_MAX_BLOCK_BYTES} bytes")
 
 
 class TruncationError(RuntimeError):
@@ -473,10 +485,7 @@ def sample_brown_resnick(h: VolatilitySpec, grid: Grid, rng_stream,
     if not (isinstance(atom_budget, (int, np.integer)) and atom_budget >= 1):
         raise ValueError(f"atom_budget must be an integer >= 1, got {atom_budget!r}")
     n = grid.n
-    block_bytes = 2 * _BLOCK_SIZE * (n + 1) * 8
-    if block_bytes > _MAX_BLOCK_BYTES:
-        raise ValueError(f"n={n} needs {block_bytes} bytes for one fully kept block, above "
-                         f"the cap of {_MAX_BLOCK_BYTES} bytes")
+    check_grid_size(n)
     lattice = _CoarseLattice(h, n)
     q_eps = math.sqrt(float(lattice.var[-1])) * float(-ndtri(epsilon / 2.0))
     fine = _FineNormals(rng_stream.bit_generator.random_raw(2))

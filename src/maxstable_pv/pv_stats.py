@@ -24,10 +24,9 @@ At most one pair can lie strictly above every other atom at a step: the
 top two, when the second value v2 exceeds the third v3.  So with the step's
 values v1 >= v2 >= v3 (v3 = -inf for two atoms) the pair restriction is
 v2 > v3, and the near-tie test is v1 - v2 <= h/sqrt(n), because
-|Z_j - Z_k| equals max - min exactly in floating point.  One pass over the
-top two replaces the loop over all K(K-1)/2 pairs.  The weighted counts
-are still summed one pair at a time, in ascending (j, k) order, so the
-result is the pair loop's to the last bit and seeded reports do not move.
+|Z_j - Z_k| equals max - min exactly in floating point.  The functional is
+then one weighted sum of the step weights over the firing steps, read from
+the top three values alone.
 """
 
 from __future__ import annotations
@@ -145,17 +144,10 @@ def clt_bias_functional(ms_path: MaxStablePath, p: int, t: float,
 
     Z = ms_path.z[:, : m - 1]
     K = Z.shape[0]
-    top = np.argpartition(Z, range(max(K - 3, 0), K), axis=0)[-3:]
-    v = np.take_along_axis(Z, top, axis=0)        # v[-1] >= v[-2] >= v[-3]
+    v = np.partition(Z, range(max(K - 3, 0), K), axis=0)[-3:]  # v[-1] >= v[-2] >= v[-3]
     v3 = v[-3] if K >= 3 else -np.inf
     fire = (v[-1] - v[-2] <= thr) & (v[-2] > v3)
-    pair = np.minimum(top[-1], top[-2]) * K + np.maximum(top[-1], top[-2])
-    pair[~fire] = -1
-    w = weights[: m - 1]
-    total = 0.0
-    for code in np.unique(pair[fire]):            # ascending code = (j, k) loop order
-        total += float(w @ (pair == code))
-    return total
+    return float(weights[: m - 1] @ fire)
 
 
 def estimate_h(path: GridPath, p: int, window: int) -> GridPath:

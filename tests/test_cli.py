@@ -220,10 +220,12 @@ _POWER_LAW = {"form": "power_law", "a": 1.0, "b": 1.0, "gamma": 1.0}
     (["--experiment", "estimate_h", "--window", "4"], None, "requires a window"),
     (["--experiment", "lln", "--p", "0"], None, "order p must be a positive integer"),
     (["--experiment", "clt", "--p", "-1"], None, "order p must be a positive integer"),
+    # the sampler's block-memory cap, n = 2^20
+    (["--experiment", "lln", "--n", "1048576", "--reps", "8"], None, "above the cap"),
 ], ids=("marginal-max2bm", "frechet-max2bm", "estimate_h-no-window", "max2bm-sigma2",
         "max2bm-h_spec", "malformed-h_spec", "moment_bias-power", "marginal-power",
         "power-law-nan", "epsilon-0", "halfwidth-0", "halfwidth-100", "window-4", "lln-p0",
-        "clt-p-1"))
+        "clt-p-1", "n-over-cap"))
 def test_verify_runner_preconditions_exit_2(argv, file_cfg, message, tmp_path,
                                             monkeypatch, capsys):
     # each config breaks a precondition of its experiment or model; building
@@ -250,12 +252,18 @@ def test_verify_runner_preconditions_exit_2(argv, file_cfg, message, tmp_path,
     ["simulate", "--model", "max2bm", "--n", "8", "--sigma", "2"],
     ["simulate", "--model", "max2bm", "--n", "8", "--h-spec", "empty.csv"],
     ["simulate", "--model", "br", "--n", "8", "--h-spec", "nan.csv"],
+    # model br takes sigma or an H table, not both, as verify does
+    ["simulate", "--model", "br", "--n", "8", "--h-spec", "h.csv", "--sigma", "5"],
+    # the sampler's block-memory cap, n = 2^20
+    ["simulate", "--model", "br", "--n", "1048576"],
 ], ids=("powervar", "powervar-empty", "estimate-h", "simulate", "simulate-epsilon",
-        "simulate-max2bm-sigma2", "simulate-max2bm-h-spec", "simulate-h-spec-nan"))
+        "simulate-max2bm-sigma2", "simulate-max2bm-h-spec", "simulate-h-spec-nan",
+        "simulate-sigma-and-h-spec", "simulate-n-over-cap"))
 def test_bad_input_leaves_existing_out_untouched(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "nan.csv").write_text("s,H\n0.0,1.0\n0.5,nan\n1.0,1.0\n")
+    (tmp_path / "h.csv").write_text("s,H\n0.0,1.0\n1.0,2.0\n")
     keep = tmp_path / "keep.csv"
     keep.write_text("old\n")
     assert run_cli(*argv, "--out", str(keep)) == 2

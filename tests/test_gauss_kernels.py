@@ -91,28 +91,6 @@ def test_abs_moment_domain():
 
 
 # ---------------------------------------------------------------------------
-# pointwise kernel
-# ---------------------------------------------------------------------------
-
-def test_psi_examples():
-    assert gk.psi(2, 1.0, 2.0, 0.0) == 3.0
-    assert gk.psi(3, 0.0, 0.0, 5.0) == 0.0
-    assert gk.psi(1, 2.0, 0.0, 1.0) == 1.0
-    with pytest.raises(ValueError):
-        gk.psi(0, 1.0, 2.0, 0.0)
-
-
-def test_psi_vanishes_off_indicators():
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=100_000) * 3
-    y = rng.normal(size=100_000) * 3
-    w = rng.normal(size=100_000) * 4
-    vals = gk.psi(2, x, y, w)
-    off = ((w > 0) & (w > x - y)) | ((w < 0) & (w < x - y))
-    assert np.all(vals[off] == 0.0)
-
-
-# ---------------------------------------------------------------------------
 # phi and phi2 against the frozen oracles
 # ---------------------------------------------------------------------------
 

@@ -62,6 +62,8 @@ def test_config_validation():
                               "h_spec": {"form": "power_law", "a": 1.0, "b": 1.0,
                                          "gamma": 1.0}})
     assert cfg.volatility.kind == "power_law"
+    # sigma null without an h_spec is the unit volatility, as for max2bm
+    assert ExperimentConfig(**{**good, "sigma": None}).volatility.sigma == 1.0
 
 
 def test_config_roundtrip_and_hash():
@@ -269,12 +271,12 @@ def test_run_experiment_dispatch():
 
 @pytest.mark.parametrize("case, workers, digest", [
     (dict(experiment="clt", sigma=1.0), "1",
-     "39d98e2b4f696e7c4e82eb82339ad21707fbb9f6015f1c63e017a26a30cc6460"),
+     "5dc10fa5827a57109f111e135e35b3b195fa97b095e14c3b17b06680143be656"),
     (dict(experiment="clt", sigma=2.0), "1",
-     "d61889e9387d1b618e34060cdbbecb886162bb013eac17494f0142e5575d4267"),
+     "80cbe06aff35500a93fdc344cc112ddf1435afdccad86459ebee35afd1bae2b1"),
     (dict(experiment="clt", sigma=None,
           h_spec={"form": "power_law", "a": 1.0, "b": 1.0, "gamma": 1.0}), "1",
-     "8eea753655093987ab10e6f89ed284780f1e1a6b4e7216c2fc1abff5d44e1d9c"),
+     "d9df21a279de9765c3f9d0443a4b2d38b6999e79b470b34f41144efc3f5198ff"),
     (dict(experiment="frechet", sigma=1.0, n=256), "2",
      "1d3f928f87d0c469793079d0d31c2e60b865d301da88e04c6664bb962e83bff4"),
     (dict(experiment="clt", model="max2bm"), "1",

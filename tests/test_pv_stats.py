@@ -170,8 +170,9 @@ def test_bias_functional_reduces_to_kernel_local_time(p, seed, t, n):
 
 def _pair_loop_bias(ms_path: MaxStablePath, p: int, t: float, halfwidth: float) -> float:
     """Reference: the per-pair loop over atoms j < k, each pair firing where
-    |Z_j - Z_k| <= h/sqrt(n) and both lie strictly above every other atom,
-    accumulated pair by pair."""
+    |Z_j - Z_k| <= h/sqrt(n) and both lie strictly above every other atom;
+    no step fires for two pairs, so the pair masks join into one firing set
+    whose steps are summed once."""
     lam1 = pv_stats.lambda_phi_unit(p)
     grid = ms_path.grid
     n = grid.n
@@ -183,7 +184,7 @@ def _pair_loop_bias(ms_path: MaxStablePath, p: int, t: float, halfwidth: float) 
     Z = ms_path.z[:, : m - 1]
     K = Z.shape[0]
     thr = halfwidth / math.sqrt(n)
-    total = 0.0
+    fired = np.zeros(Z.shape[1], dtype=bool)
     for j in range(K):
         for k in range(j + 1, K):
             near = np.abs(Z[j] - Z[k]) <= thr
@@ -192,8 +193,9 @@ def _pair_loop_bias(ms_path: MaxStablePath, p: int, t: float, halfwidth: float) 
             rest = np.delete(Z, [j, k], axis=0)
             others = rest.max(axis=0) if len(rest) else np.full(Z.shape[1], -np.inf)
             fire = near & (np.minimum(Z[j], Z[k]) > others)
-            total += float(weights[: m - 1] @ fire)
-    return total
+            assert not (fired & fire).any()
+            fired |= fire
+    return float(weights[: m - 1] @ fired)
 
 
 _VOLS = (VolatilitySpec.constant(1.0), VolatilitySpec.constant(1.7),
