@@ -98,6 +98,10 @@ def _cmd_tabulate_increment_law(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.reps < 1:
+        raise ValueError(f"reps must be >= 1, got {args.reps}")
+    if args.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
     grid = Grid(args.n)
     vol = mc_harness.resolve_volatility(
         args.model, args.sigma, _load_h_spec(args.h_spec) if args.h_spec else None)

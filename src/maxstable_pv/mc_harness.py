@@ -55,7 +55,6 @@ from scipy.special import ndtr
 
 from . import gauss_kernels, increment_law, pv_stats
 from .path_sim import (
-    RETAIN_MARGIN,
     Grid,
     MaxStablePath,
     TruncationError,
@@ -122,6 +121,9 @@ class ExperimentConfig:
         gauss_kernels._check_order(self.p)
         if self.reps < 2:
             raise ValueError("reps must be >= 2")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be a non-negative integer, "
+                             f"got {self.master_seed}")
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 2, got {self.n}")
         if not 0.0 < self.t_eval <= 1.0:
@@ -140,8 +142,7 @@ class ExperimentConfig:
             check_epsilon(self.epsilon)
             check_grid_size(self.n)
         if self.experiment == "clt":
-            pv_stats.check_halfwidth(self.halfwidth, self.n,
-                                     RETAIN_MARGIN if self.model == "br" else math.inf)
+            pv_stats.check_halfwidth(self.halfwidth, self.n, kept_atoms=self.model == "br")
         if self.experiment == "estimate_h":
             pv_stats.check_window(self.window, self.n)
 

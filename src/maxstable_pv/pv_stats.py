@@ -38,7 +38,7 @@ import numpy as np
 
 from . import gauss_kernels
 from .gauss_kernels import _check_order
-from .path_sim import RETAIN_MARGIN, GridPath, MaxStablePath
+from .path_sim import MAX_HALFWIDTH, GridPath, MaxStablePath, retain_margin
 
 __all__ = [
     "power_variation",
@@ -53,14 +53,18 @@ __all__ = [
 ]
 
 
-def check_halfwidth(halfwidth: float, n: int, retain_margin: float = math.inf) -> None:
-    """h > 0, and h/sqrt(n) below the path's retain margin, or atoms that
-    near the top may have been discarded."""
+def check_halfwidth(halfwidth: float, n: int, kept_atoms: bool = False) -> None:
+    """h > 0; and for the pair functional on a sampled path's kept atoms,
+    h/sqrt(n) below the retain margin MAX_HALFWIDTH/sqrt(n), that is h below
+    4, or atoms that near the top may have been discarded.  The test compares
+    the floats the sampler's keep filter uses, so the second atom of every
+    firing step is kept."""
     if not halfwidth > 0:
         raise ValueError(f"halfwidth must be positive, got {halfwidth}")
-    if halfwidth / math.sqrt(n) >= retain_margin:
-        raise ValueError(f"halfwidth/sqrt(n) = {halfwidth / math.sqrt(n):.3g} reaches the "
-                         f"retain margin {retain_margin}; near-top atoms may be missing")
+    if kept_atoms and halfwidth / math.sqrt(n) >= retain_margin(n):
+        raise ValueError(f"halfwidth {halfwidth} reaches the retain margin: h/sqrt(n) must "
+                         f"stay below {MAX_HALFWIDTH:g}/sqrt(n), or near-top atoms may be "
+                         f"missing")
 
 
 def check_window(window: int, n: int) -> None:
@@ -130,7 +134,7 @@ def clt_bias_functional(ms_path: MaxStablePath, p: int, t: float,
     p = _check_order(p)
     grid = ms_path.grid
     n = grid.n
-    check_halfwidth(halfwidth, n, RETAIN_MARGIN)
+    check_halfwidth(halfwidth, n, kept_atoms=True)
     if ms_path.z.shape[0] < 2:
         # a lone retained atom forms no pair, so the pair sum is empty
         return 0.0

@@ -217,6 +217,9 @@ _POWER_LAW = {"form": "power_law", "a": 1.0, "b": 1.0, "gamma": 1.0}
     (["--experiment", "clt", "--halfwidth", "0"], None, "halfwidth must be positive"),
     (["--experiment", "clt", "--n", "256", "--halfwidth", "100"], None,
      "reaches the retain margin"),
+    # halfwidth/sqrt(n) = 4/64 is the retain margin 4/sqrt(n) at n = 4096
+    (["--experiment", "clt", "--n", "4096", "--halfwidth", "4"], None,
+     "reaches the retain margin"),
     (["--experiment", "estimate_h", "--window", "4"], None, "requires a window"),
     (["--experiment", "lln", "--p", "0"], None, "order p must be a positive integer"),
     (["--experiment", "clt", "--p", "-1"], None, "order p must be a positive integer"),
@@ -224,8 +227,8 @@ _POWER_LAW = {"form": "power_law", "a": 1.0, "b": 1.0, "gamma": 1.0}
     (["--experiment", "lln", "--n", "1048576", "--reps", "8"], None, "above the cap"),
 ], ids=("marginal-max2bm", "frechet-max2bm", "estimate_h-no-window", "max2bm-sigma2",
         "max2bm-h_spec", "malformed-h_spec", "moment_bias-power", "marginal-power",
-        "power-law-nan", "epsilon-0", "halfwidth-0", "halfwidth-100", "window-4", "lln-p0",
-        "clt-p-1", "n-over-cap"))
+        "power-law-nan", "epsilon-0", "halfwidth-0", "halfwidth-100", "halfwidth-4-n4096",
+        "window-4", "lln-p0", "clt-p-1", "n-over-cap"))
 def test_verify_runner_preconditions_exit_2(argv, file_cfg, message, tmp_path,
                                             monkeypatch, capsys):
     # each config breaks a precondition of its experiment or model; building
@@ -256,9 +259,13 @@ def test_verify_runner_preconditions_exit_2(argv, file_cfg, message, tmp_path,
     ["simulate", "--model", "br", "--n", "8", "--h-spec", "h.csv", "--sigma", "5"],
     # the sampler's block-memory cap, n = 2^20
     ["simulate", "--model", "br", "--n", "1048576"],
+    # at least one replicate, from a non-negative seed
+    ["simulate", "--model", "br", "--n", "8", "--reps", "-3"],
+    ["simulate", "--model", "br", "--n", "8", "--seed", "-1"],
 ], ids=("powervar", "powervar-empty", "estimate-h", "simulate", "simulate-epsilon",
         "simulate-max2bm-sigma2", "simulate-max2bm-h-spec", "simulate-h-spec-nan",
-        "simulate-sigma-and-h-spec", "simulate-n-over-cap"))
+        "simulate-sigma-and-h-spec", "simulate-n-over-cap", "simulate-reps-negative",
+        "simulate-seed-negative"))
 def test_bad_input_leaves_existing_out_untouched(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "empty.csv").write_text("")

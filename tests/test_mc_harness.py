@@ -52,6 +52,9 @@ def test_config_validation():
         ExperimentConfig(**{**good, "n": 100})        # not a power of two
     with pytest.raises(ValueError):
         ExperimentConfig(**{**good, "t_eval": 0.0})
+    # a negative seed is refused here, not by SeedSequence inside the workers
+    with pytest.raises(ValueError, match="master_seed must be a non-negative integer"):
+        ExperimentConfig(**{**good, "master_seed": -1})
     with pytest.raises(ValueError):
         ExperimentConfig(**{**good, "h_spec": {"form": "constant", "sigma": 1.0}})
     for field, bad in (("n", 256.0), ("reps", 2.5), ("p", 1.5), ("window", 1.5),

@@ -6,11 +6,11 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
-from maxstable_pv import path_sim
+from maxstable_pv import path_sim, pv_stats
 from maxstable_pv.path_sim import (
     Grid,
     GridPath,
@@ -389,44 +389,44 @@ _GOLDEN_VOLS = {
 _GOLDEN = [
     # (vol, n, master_seed, replicate, epsilon, atom_budget, truncated, digest)
     ("sigma1", 64, 1, 0, 1e-3, 10 ** 6, False,
-     "f66d853a1b607dd74283499e9900f91bd68fec3b8fb98db397dcd29e7dd13972"),
+     "71409ca711d78593044d072992195f5c50047fdbbd7b350300a946e941a6e2f5"),
     ("sigma1", 256, 7, 3, 1e-3, 10 ** 6, False,
      "2ba208c8f077868b2e9b3e651ff9a671811a72cdac8043bc442e89fbc25ceb0a"),
     ("sigma1", 4096, 11, 5, 1e-3, 10 ** 6, False,
-     "01aaef022e71718d1ea2881eaa32049a5ed959671c57f115a9842724a9d26ea5"),
+     "62413eb6c344629f1e1672d08e54f049b66b796a5e36997e58e6502e34eca2d7"),
     ("sigma2", 64, 2, 1, 1e-3, 10 ** 6, False,
-     "35702d00cece40cb9d87a9cd75c4c80adba18d887b33fdf1a6749d19d80ef4c2"),
+     "37282949a51156a9481f3f4e8eed7a346cdfa38c142d25f4235b2a6f1af70e58"),
     ("sigma2", 256, 1, 0, 1e-3, 10 ** 6, False,
-     "874121fe1b4f924a5b62fa4cd4504c5f8e896bdd1fffb2621fe1637295e3fcb2"),
+     "e92b1faa6c59f71bda437a5db7065ff98c9416fc7ea1472e5cae417548954765"),
     ("sigma2", 4096, 3, 2, 1e-3, 10 ** 6, False,
-     "f7d24be40b3dd2ed87e0336d2902db769b3ca17e455e074230b75993df764078"),
+     "144543cdbdc9411735cd3dddbb3c800d7c64a054f09f556af70e17bb1fda9f1d"),
     ("sigma2", 4096, 1, 6, 1e-3, 10 ** 6, False,
-     "2a30392122629450fb358011368235f6417f7dcf34abbf06e22a0a55b75587f4"),
+     "4d30b8eff6af73bb61fc2b871dd39cfa008ad321a0ca951547959fbe7a11cef8"),
     ("power", 64, 4, 9, 1e-3, 10 ** 6, False,
-     "9e8c32681ec7837b9c2b21a1b72e28bfe71a322cee43d8b986b1549e4d2ff0e5"),
+     "f183929a85faca75aab90551a5a49347aedfd566cab574d1e8fed3957a303158"),
     ("power", 256, 5, 4, 1e-4, 10 ** 6, False,
-     "3341f4f7608f29089cd846bc48391d767d7559556e423df59ebd37c051e0c2ec"),
+     "ab1c224f7daed68d0331953d4e02cf9f3aa3182b7df3ca2e8b9506edc4415c82"),
     ("power", 4096, 6, 0, 1e-3, 10 ** 6, False,
-     "6faaf6d72d00960d190b8f291eb9a2b12605d0fc5ebb7cfff123cf6de624a02a"),
+     "a5d44921368743cc8b6747c046eec036eb8ee926130aef5f1035da483ac25d4c"),
     ("table", 64, 8, 2, 1e-3, 10 ** 6, False,
      "2cf25fb5217135e70f884ad99ce1bf78d6252ed56c2e08947e10033996fddb47"),
     ("table", 256, 9, 7, 1e-3, 10 ** 6, False,
-     "5a458d19af6af2c77760aa908606d0d7670ffd538e1517c936b97a0969f1be13"),
+     "c87dbf8b87374e560b8d8f4f701bfa87d49a909a981302069bf1ff93b1ec7340"),
     ("table", 4096, 10, 1, 1e-3, 10 ** 6, False,
-     "ef4baa61357d7c108a58344ebcd1755e5cc508f1bd58bc185e6e26cd8a23b579"),
+     "1ba62aa320dedf4377c5d467936a7576ff7c500b7e9fe3ef9872af3a8ee32646"),
     # budget exhausted: the digest covers TruncationError.partial
     ("sigma1", 64, 41, 0, 1e-9, 32, True,
-     "d083fc590a6475c566956e545884a0c7aef365a07e9abf05f803588837f95772"),
+     "d5e51446f95cdc0c68bddba5d74622363b37258b1c7321af639121b483635041"),
     ("sigma2", 256, 12, 3, 1e-6, 100, True,
-     "b6fc301cd280e70576b3024a925a44df9247c95b663847c1a36292837f034ffe"),
+     "31a125675c73c685dc1811f006b1e6c31bcd74daeed65e3f6207bf0a4d27774b"),
     # large n: 128 coarse segments of 128 steps
     ("sigma2", 2 ** 14, 13, 2, 1e-3, 10 ** 6, False,
-     "007d406fafb6a1bcf702b09099cff40824e0b83446a847c489569f4366256a97"),
+     "1c00b934f948d1d017df98b6400be86b21b4c5499e4ab88f7927a2408ecfc5a8"),
     # n not a power of two: coarse segments of 156 and 157 steps
     ("power", 20000, 14, 1, 1e-3, 10 ** 6, False,
-     "332f178b60b522e999ac688cf77939af47cf6ccbf7160e4aa95d10a844445fc7"),
+     "c62de167e81e349e15a2f8d9813d499c9db6f637f1e685a4719d214557d813cf"),
     ("sigma1", 8192, 18, 4, 1e-9, 192, True,
-     "6e23b6799848160850599aabc9e5f44ada7f8373d69a614a6b06ebcdecbea80d"),
+     "350e35c7cbf288276cd0b4e27342632930979be91bb488194a679b55b2ab0836"),
 ]
 
 
@@ -466,11 +466,15 @@ def test_br_golden_outputs(vol, n, seed, rep, eps, budget, truncated, digest):
     assert _path_digest(ms) == digest
 
 
-def _refine_all_oracle(h, grid, rng_stream, epsilon, atom_budget):
+def _refine_all_oracle(h, grid, rng_stream, epsilon, atom_budget, margin=None):
     """Reference for the coarse screen: the sampler's draws, with every atom
     refined through the same bridge fill by a fresh Philox generator, then
-    the plain per-block loop.  Returns (path, truncated)."""
+    the plain per-block loop that keeps the atoms within ``margin`` of the
+    maximum (by default the sampler's retain margin).  Returns (path,
+    truncated)."""
     n = grid.n
+    if margin is None:
+        margin = path_sim.retain_margin(n)
     lattice = path_sim._CoarseLattice(h, n)
     q_eps = math.sqrt(float(lattice.var[-1])) * float(-ndtri(epsilon / 2.0))
     fine = path_sim._FineNormals(rng_stream.integers(2 ** 64, size=2, dtype=np.uint64))
@@ -496,7 +500,7 @@ def _refine_all_oracle(h, grid, rng_stream, epsilon, atom_budget):
         z = lattice.fill(zc, fine.draw(generated + np.arange(64), n))
 
         run_max = np.maximum(run_max, z.max(axis=0))
-        keep = (z - run_max).max(axis=1) > -path_sim.RETAIN_MARGIN
+        keep = (z - run_max).max(axis=1) > -margin
         kept_log_r.append(log_r[keep])
         kept_z.append(z[keep])
         generated += 64
@@ -504,7 +508,7 @@ def _refine_all_oracle(h, grid, rng_stream, epsilon, atom_budget):
         stopped = stop_margin > 0.0
 
     z = np.concatenate(kept_z)
-    keep = (z - run_max).max(axis=1) > -path_sim.RETAIN_MARGIN
+    keep = (z - run_max).max(axis=1) > -margin
     path = MaxStablePath(
         log_eta=GridPath(grid, run_max - 0.5 * lattice.var),
         log_r=np.concatenate(kept_log_r)[keep],
@@ -552,8 +556,38 @@ def test_br_matches_refine_all_oracle(vol, n, fill_log2, seed, rep, eps, budget)
     assert 1 <= got.truncation_diag.atoms_refined <= got.truncation_diag.atoms_generated
 
 
+@settings(max_examples=200, deadline=None)
+@given(vol=st.sampled_from(sorted(_GOLDEN_VOLS)), n=st.integers(16, 600),
+       seed=st.integers(0, 2 ** 32 - 1), rep=st.integers(0, 1000),
+       eps=st.sampled_from((1e-2, 1e-3, 1e-4, 1e-5)),
+       budget=st.integers(1, 400) | st.just(10 ** 6),
+       halfwidth=st.floats(1e-3, path_sim.MAX_HALFWIDTH, exclude_max=True),
+       t=st.sampled_from((0.5, 1.0)))
+def test_br_retain_margin_moves_no_reported_number(vol, n, seed, rep, eps, budget,
+                                                   halfwidth, t):
+    # the sampler refines and keeps only the atoms within 4/sqrt(n) of the
+    # maximum (at most 1 for n >= 16); every atom refined and kept at a
+    # margin of 1 must give the same log eta, atom count, stop margin and
+    # pair bias functional at any halfwidth the functional accepts (from
+    # 1e-3 up: a subnormal halfwidth overflows the step weights to inf)
+    h, grid = _GOLDEN_VOLS[vol], Grid(n)
+    # h/sqrt(n) may round up to the margin just below h = 4; such an h is refused
+    assume(halfwidth / math.sqrt(n) < path_sim.retain_margin(n))
+    want, want_truncated = _refine_all_oracle(h, grid, replicate_rng(seed, rep), eps, budget,
+                                              margin=1.0)
+    got, got_truncated = _sample_or_partial(h, grid, replicate_rng(seed, rep), eps, budget)
+    assert got_truncated == want_truncated
+    assert got.log_eta.values.tobytes() == want.log_eta.values.tobytes()
+    assert got.truncation_diag.atoms_generated == want.truncation_diag.atoms_generated
+    assert (got.truncation_diag.stop_rule_margin.hex()
+            == want.truncation_diag.stop_rule_margin.hex())
+    assert len(got.log_r) <= len(want.log_r)
+    assert (pv_stats.clt_bias_functional(got, 2, t, halfwidth)
+            == pv_stats.clt_bias_functional(want, 2, t, halfwidth))
+
+
 def test_br_screen_changes_no_path_at_sigma2():
-    # at sigma = 2 about 900 atoms per path are drawn and about 4% refined
+    # at sigma = 2 about 900 atoms per path are drawn and about 2% refined
     h, grid = VolatilitySpec.constant(2.0), Grid(1024)
     generated = refined = 0
     for r in range(24):
@@ -595,12 +629,20 @@ def test_bridge_fill_law(vol):
     assert abs(lag1) < 5 / math.sqrt(u[:, 1:].size)
 
 
-@pytest.mark.parametrize("vol", [VolatilitySpec.constant(1.0), _ZIGZAG], ids=("sigma1", "zigzag"))
-def test_screen_keeps_every_atom_that_comes_near(vol):
+# margins of 1 (the ids without a suffix), of the sampler on this 50-point
+# grid (0.57), and of the sampler at n = 4096 (0.0625)
+_SCREEN_MARGINS = {"": 1.0, "-margin-n50": path_sim.retain_margin(50),
+                   "-margin-n4096": path_sim.retain_margin(4096)}
+
+
+@pytest.mark.parametrize("vol,margin", [(v, m) for m in _SCREEN_MARGINS.values()
+                                        for v in (VolatilitySpec.constant(1.0), _ZIGZAG)],
+                         ids=[v + tag for tag in _SCREEN_MARGINS for v in ("sigma1", "zigzag")])
+def test_screen_keeps_every_atom_that_comes_near(vol, margin):
     # an atom the screen drops never comes within the margin of the running
     # maximum on the fine grid; 20,000 atoms started near that level, so
-    # about one in three is dropped
-    grid, margin = Grid(50), 1.0
+    # between a quarter and three fifths of them are dropped
+    grid = Grid(50)
     lattice = path_sim._CoarseLattice(vol, grid.n)
     rng = np.random.default_rng(29)
     run_max = sample_brownian(grid, rng).values

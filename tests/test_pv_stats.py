@@ -245,11 +245,13 @@ def test_bias_functional_interval_additivity():
 
 
 def test_bias_functional_halfwidth_guard():
-    # h/sqrt(n) = 8/8 reaches the sampler's retain margin of 1
+    # h = 4 gives h/sqrt(n) = 4/8, the sampler's retain margin 4/sqrt(n) at
+    # n = 64; a halfwidth just below it is accepted
     grid = Grid(64)
     path = _two_atom_path(grid, np.zeros(65), np.ones(65))
     with pytest.raises(ValueError, match="retain margin"):
-        pv_stats.clt_bias_functional(path, 2, 1.0, 8.0)
+        pv_stats.clt_bias_functional(path, 2, 1.0, 4.0)
+    assert pv_stats.clt_bias_functional(path, 2, 1.0, 3.99) == 0.0
 
 
 # ---------------------------------------------------------------------------
