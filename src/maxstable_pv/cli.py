@@ -3,8 +3,9 @@
 Subcommands: tabulate-kernels, tabulate-increment-law, simulate, powervar,
 estimate-h, verify.  Flag values override config-file values, which override
 defaults.  Exit codes: 0 success (all verdicts passing), 1 failing verdict,
-2 usage/config error, 3 numerical failure (quadrature tolerance or atom
-budget).  Results go to stdout or --out; diagnostics to stderr.
+2 usage/config error, 3 numerical failure (quadrature tolerance, atom
+budget, or a constant past the float range).  Results go to stdout or
+--out; diagnostics to stderr.
 
 CSV numbers are written with repr(), the shortest decimal string that
 round-trips to the same binary value, so file-based pipelines reproduce the
@@ -250,8 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--experiment", choices=list(mc_harness.EXPERIMENTS), default=None)
     v.add_argument("--config", default=None, help="JSON file mirroring ExperimentConfig")
     for f in _VERIFY_FIELDS:
+        # sigma, the one field that defaults to None, takes a float
         v.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                       type=type(f.default), default=None)
+                       type=float if f.default is None else type(f.default), default=None)
     v.add_argument("--out", default=None)
     v.set_defaults(fn=_cmd_verify)
 
@@ -271,7 +273,7 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (QuadratureError, TruncationError) as exc:
+    except (QuadratureError, TruncationError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

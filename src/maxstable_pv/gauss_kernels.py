@@ -1,7 +1,7 @@
 """Gaussian analytic objects behind the power-variation limit theorems.
 
-Everything here is deterministic quadrature, no simulation.  The central
-object is the two-sided kernel
+Everything here is deterministic, no simulation: quadrature, and the closed
+form of J_p.  The central object is the two-sided kernel
 
     psi_p(x, y, w) = (|y+w|^p - |x|^p) 1{x-y <= w <= 0}
                    + (|x-w|^p - |y|^p) 1{0 <= w <= x-y}
@@ -20,14 +20,10 @@ kernel, E|sV + mu1|^p |sV + mu2|^p), both of which reduce to incomplete
 Gaussian moments in closed form for integer p.  The remaining u-integral is
 smooth, so the Gauss-Kronrod machinery converges at spectral rate.
 
-The moment-bias constant
-
-    J_p = 2p * int_0^inf u^{p-1} phi(u) [1/2 - Phibar(u)
-                                          - u Phibar(u) Phi(u) / phi(u)] du
-
-uses the scaled complementary error function for the Mills ratio
-Phibar(u)/phi(u), which is finite and accurate for all u (the naive ratio
-is 0/0 in floating point past u ~ 38).
+The moment-bias constant J_p (bias_integral) is exact for integer p.  The
+bracket of its integral, the tests' oracle, uses the scaled complementary
+error function for the Mills ratio Phibar(u)/phi(u), which is finite and
+accurate for all u (the naive ratio is 0/0 in floating point past u ~ 38).
 """
 
 from __future__ import annotations
@@ -267,24 +263,27 @@ def bias_integrand_bracket(u):
     return 0.5 - ndtr(-u) - u * mills * ndtr(u)
 
 
-def bias_integral(p: float, q: QuadratureConfig | None = None) -> float:
-    """J_p = 2p int_0^inf u^{p-1} phi(u) * bracket(u) du.
+def bias_integral(p: int) -> float:
+    """J_p = 2p int_0^inf u^{p-1} phi(u) * bracket(u) du, the n -> infinity
+    limit of sqrt(n) (E|U^n|^p - m_p) for the normalized increments of the
+    stationary log-process; its sign is reported, not asserted.
 
-    This is the n -> infinity limit of sqrt(n) (E|U^n|^p - m_p) for the
-    normalized increments of the stationary log-process; its sign is
-    reported, not asserted.
+    Exact for integer p: with I_k = int_0^inf u^k phi(u) (2 Phi(u) - 1) du,
+    J_p = p I_{p-1} - 2p/(p+1) I_{p+1}, since phi * bracket is
+    phi (Phi - 1/2) - u Phi Phibar, and integrating u^p Phi Phibar by parts
+    with (Phi Phibar)' = phi (1 - 2 Phi) gives I_{p+1}/(p+1).  Integrating
+    u^{k-1} * u phi by parts, with int_0^inf u^m phi^2 du = Gamma((m+1)/2)/(4 pi),
+    gives I_k = (k-1) I_{k-2} + Gamma(k/2)/(2 pi) from I_0 = 1/4 and
+    I_1 = 1/(2 sqrt(pi)).  So J_1 = -1/(2 pi).  OverflowError past p ~ 300.
     """
-    if not (np.isfinite(p) and p >= 1):
-        raise ValueError(f"bias_integral requires finite p >= 1, got {p}")
-    cfg = q or QuadratureConfig()
-
-    def integrand(u):
-        u = np.asarray(u, float)
-        return 2.0 * p * u ** (p - 1.0) * _npdf(u) * bias_integrand_bracket(u)
-
-    # phi(12) is below 1e-31: the tail past 12 is lost in rounding
-    res = adaptive_gauss_kronrod(integrand, 0.0, 12.0, cfg)
-    return float(res.value)
+    p = _check_order(p)
+    i = [0.25, 0.5 / math.sqrt(math.pi)]
+    for k in range(2, p + 2):
+        i.append((k - 1) * i[k - 2] + math.gamma(k / 2.0) / (2.0 * math.pi))
+    jp = p * i[p - 1] - 2.0 * p / (p + 1) * i[p + 1]
+    if not math.isfinite(jp):
+        raise OverflowError(f"J_p at p = {p} is past the float range")
+    return jp
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ class ExperimentConfig:
     p: int = 2
     n: int = 256
     reps: int = 2
-    sigma: float | None = 1.0
+    sigma: float | None = None     # None: the h_spec, or unit volatility
     h_spec: dict | None = None
     epsilon: float = 1e-3
     halfwidth: float = 1.0
@@ -496,8 +496,8 @@ def _facts(config: ExperimentConfig) -> tuple:
 
 
 def _moment_bias(config: ExperimentConfig) -> tuple:
-    """Quadrature-only: the scaled moment gap sqrt(n)(E|U|^p - m_p) along a
-    ladder of n against its limit sigma * J_p.
+    """Exact moments by quadrature: the scaled moment gap sqrt(n)(E|U|^p - m_p)
+    along a ladder of n against its closed-form limit sigma * J_p.
 
     The marginal law depends on (sigma, n) only through sigma/sqrt(n), so
     the first-order coefficient carries one factor of sigma (visible in the
@@ -507,7 +507,7 @@ def _moment_bias(config: ExperimentConfig) -> tuple:
     p = config.p
     sigma = config.volatility.sigma
     cfg_q = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12)
-    limit = sigma * gauss_kernels.bias_integral(p, cfg_q)
+    limit = sigma * gauss_kernels.bias_integral(p)
     mp = gauss_kernels.abs_moment(p)
     ladder = [10 ** k for k in range(2, 9)]
     gaps = []

@@ -18,7 +18,7 @@ lambda(phi_{p, H_s}) / (2 H_s^2) and restricted to the steps where the pair
 tops every other atom.  lambda(phi_{p,sigma}) = sigma^{p+1} lambda(phi_{p,1})
 exactly (change of variables in the defining double integral), so a single
 unit-sigma constant serves every step weight, and lambda(phi_{p,1}) = 2 J_p,
-twice the moment-bias integral, so that constant is derived from J_p.
+twice the moment-bias constant, so that constant is exact.
 
 At most one pair can lie strictly above every other atom at a step: the
 top two, when the second value v2 exceeds the third v3.  So with the step's
@@ -32,7 +32,6 @@ the top three values alone.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -53,14 +52,24 @@ __all__ = [
 ]
 
 
+# narrowest band h/sqrt(n) a local-time estimate accepts
+_MIN_BAND = 1e-12
+
+
 def check_halfwidth(halfwidth: float, n: int, kept_atoms: bool = False) -> None:
-    """h > 0; and for the pair functional on a sampled path's kept atoms,
-    h/sqrt(n) below the retain margin MAX_HALFWIDTH/sqrt(n), that is h below
-    4, or atoms that near the top may have been discarded.  The test compares
-    the floats the sampler's keep filter uses, so the second atom of every
-    firing step is kept."""
+    """h > 0 with a band h/sqrt(n) of at least 1e-12: the n grid values fall
+    in a narrower band about n * 1e-12 times in expectation, so the estimate
+    reads little but exact ties, and near the subnormal range its weight
+    1/(h sqrt(n)) overflows to inf.  And for the pair functional on a sampled
+    path's kept atoms, h/sqrt(n) below the retain margin MAX_HALFWIDTH/sqrt(n),
+    that is h below 4, or atoms that near the top may have been discarded.
+    The test compares the floats the sampler's keep filter uses, so the
+    second atom of every firing step is kept."""
     if not halfwidth > 0:
         raise ValueError(f"halfwidth must be positive, got {halfwidth}")
+    if halfwidth / math.sqrt(n) < _MIN_BAND:
+        raise ValueError(f"halfwidth {halfwidth} is too small: the band h/sqrt(n) must be "
+                         f"at least {_MIN_BAND:g}, or it holds only exact ties")
     if kept_atoms and halfwidth / math.sqrt(n) >= retain_margin(n):
         raise ValueError(f"halfwidth {halfwidth} reaches the retain margin: h/sqrt(n) must "
                          f"stay below {MAX_HALFWIDTH:g}/sqrt(n), or near-top atoms may be "
@@ -111,10 +120,9 @@ def local_time_tanaka(path: GridPath, t: float) -> float:
     return float(abs(v[m]) - abs(v[0]) - signed.sum())
 
 
-@lru_cache(maxsize=32)
 def lambda_phi_unit(p: int) -> float:
-    """lambda(phi_{p,1}) = 2 J_p, derived from the moment-bias integral once
-    per order and reused via the exact sigma^{p+1} scaling law."""
+    """lambda(phi_{p,1}) = 2 J_p, from the closed-form moment-bias constant;
+    every sigma follows by the exact sigma^{p+1} scaling law."""
     return 2.0 * gauss_kernels.bias_integral(p)
 
 

@@ -48,6 +48,12 @@ def test_unreachable_tolerance_exits_3(capsys):
                    "--rel-tol", "1e-30") == 3
 
 
+def test_constant_overflow_exits_3(capsys):
+    # J_400 is about Gamma(200), past the largest float
+    assert run_cli("verify", "--experiment", "moment_bias", "--p", "400") == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_tabulate_kernels_roundtrip(tmp_path):
     out = tmp_path / "k.csv"
     assert run_cli("tabulate-kernels", "--p", "2", "--sigma", "1.0",
@@ -162,6 +168,15 @@ def test_verify_with_tabulated_h(experiment, tmp_path, monkeypatch, capsys):
     assert report["config"]["h_spec"]["form"] == "table"
 
 
+def test_verify_sigma_flag_is_a_float(tmp_path, monkeypatch):
+    # sigma defaults to None in ExperimentConfig, yet its flag takes a float
+    monkeypatch.setenv("MAXSTABLE_PV_THREADS", "1")
+    out = tmp_path / "report.json"
+    assert run_cli("verify", "--experiment", "lln", "--sigma", "1.5", "--n", "64",
+                   "--reps", "4", "--out", str(out)) in (0, 1)
+    assert json.loads(out.read_text())["config"]["sigma"] == 1.5
+
+
 def test_verify_flag_overrides_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -220,6 +235,12 @@ _POWER_LAW = {"form": "power_law", "a": 1.0, "b": 1.0, "gamma": 1.0}
     # halfwidth/sqrt(n) = 4/64 is the retain margin 4/sqrt(n) at n = 4096
     (["--experiment", "clt", "--n", "4096", "--halfwidth", "4"], None,
      "reaches the retain margin"),
+    # a band h/sqrt(n) below 1e-12 holds only exact ties, and at a subnormal
+    # h the step weights overflow; refused for either model
+    (["--experiment", "clt", "--model", "br", "--halfwidth", "5e-324", "--n", "64",
+      "--reps", "4"], None, "the band h/sqrt(n) must be at least 1e-12"),
+    (["--experiment", "clt", "--model", "max2bm", "--halfwidth", "5e-324", "--n", "64",
+      "--reps", "4"], None, "the band h/sqrt(n) must be at least 1e-12"),
     (["--experiment", "estimate_h", "--window", "4"], None, "requires a window"),
     (["--experiment", "lln", "--p", "0"], None, "order p must be a positive integer"),
     (["--experiment", "clt", "--p", "-1"], None, "order p must be a positive integer"),
@@ -228,7 +249,8 @@ _POWER_LAW = {"form": "power_law", "a": 1.0, "b": 1.0, "gamma": 1.0}
 ], ids=("marginal-max2bm", "frechet-max2bm", "estimate_h-no-window", "max2bm-sigma2",
         "max2bm-h_spec", "malformed-h_spec", "moment_bias-power", "marginal-power",
         "power-law-nan", "epsilon-0", "halfwidth-0", "halfwidth-100", "halfwidth-4-n4096",
-        "window-4", "lln-p0", "clt-p-1", "n-over-cap"))
+        "halfwidth-subnormal-br", "halfwidth-subnormal-max2bm", "window-4", "lln-p0",
+        "clt-p-1", "n-over-cap"))
 def test_verify_runner_preconditions_exit_2(argv, file_cfg, message, tmp_path,
                                             monkeypatch, capsys):
     # each config breaks a precondition of its experiment or model; building

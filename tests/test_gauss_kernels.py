@@ -1,11 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from maxstable_pv import gauss_kernels as gk
 from maxstable_pv.increment_law import IncrementLawParams, exact_abs_moment
-from maxstable_pv.quadrature import QuadratureConfig
+from maxstable_pv.quadrature import QuadratureConfig, adaptive_gauss_kronrod
 
 CFG = QuadratureConfig()
 
@@ -179,7 +180,7 @@ def test_bias_integral_vs_moment_extrapolation():
     # Richardson in 1/sqrt(n): g(n) = J + c/sqrt(n) + o(1/sqrt(n)), grid
     # ratio 10 per decade pair
     q = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12)
-    j1 = gk.bias_integral(1, q)
+    j1 = gk.bias_integral(1)
     m1 = gk.abs_moment(1)
     g = [math.sqrt(n) * (exact_abs_moment(1, IncrementLawParams(1.0, n), q) - m1)
          for n in (10 ** 4, 10 ** 6, 10 ** 8)]
@@ -188,12 +189,50 @@ def test_bias_integral_vs_moment_extrapolation():
 
 
 def test_bias_integral_equals_half_lambda():
-    # two independent quadrature routes to the same constant: the kernel
-    # integral over w and the Mills-ratio moment integral.  The ratio is
-    # pinned to 1e-12 so that lambda(phi_{p,1}) may be derived as 2 J_p.
+    # two independent routes to the same constant: the kernel integral over
+    # w by quadrature and the closed form of the Mills-ratio moment integral.
+    # The ratio is pinned to 1e-12 so that lambda(phi_{p,1}) may be derived
+    # as 2 J_p.
     for p in (1, 2, 3, 4):
-        ratio = gk.lambda_integral(p, 1.0, CFG) / gk.bias_integral(p, CFG)
+        ratio = gk.lambda_integral(p, 1.0, CFG) / gk.bias_integral(p)
         assert abs(ratio - 2.0) <= 2.0 * 1e-12
+
+
+def test_bias_integral_closed_form_vs_bracket_quadrature():
+    # the bracket integral itself, by tight Gauss-Kronrod; phi(12) is below
+    # 1e-31, so the tail past 12 is lost in rounding
+    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-14)
+    for p in range(1, 9):
+        def integrand(u):
+            return 2.0 * p * u ** (p - 1) * gk._npdf(u) * gk.bias_integrand_bracket(u)
+        want = adaptive_gauss_kronrod(integrand, 0.0, 12.0, cfg).value
+        assert abs(gk.bias_integral(p) - want) <= 1e-13 * abs(want), p
+    assert gk.bias_integral(1) == pytest.approx(-1.0 / (2.0 * math.pi), rel=1e-15)
+
+
+def test_bias_integral_closed_form_vs_mpmath():
+    # the same integral at 30 digits, with phi times the bracket multiplied
+    # out as phi (1/2 - Phibar) - u Phibar Phi, so no Mills ratio is needed
+    with mpmath.workdps(30):
+        for p in range(1, 9):
+            def integrand(u):
+                upper = mpmath.ncdf(-u)
+                return 2 * p * u ** (p - 1) * (mpmath.npdf(u) * (mpmath.mpf(1) / 2 - upper)
+                                               - u * upper * (1 - upper))
+            want = mpmath.quad(integrand, [0, 12])
+            assert abs(float((gk.bias_integral(p) - want) / want)) <= 1e-15, p
+
+
+def test_bias_integral_domain():
+    for bad in (0, 2.5):
+        with pytest.raises(ValueError, match="order p must be a positive integer"):
+            gk.bias_integral(bad)
+    # the terms overflow to inf - inf = nan at p = 340 and math.gamma raises
+    # past p = 342; both are refused alike
+    assert math.isfinite(gk.bias_integral(300))
+    for big in (340, 400):
+        with pytest.raises(OverflowError):
+            gk.bias_integral(big)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,17 @@ def test_config_validation():
     assert cfg.volatility.kind == "power_law"
     # sigma null without an h_spec is the unit volatility, as for max2bm
     assert ExperimentConfig(**{**good, "sigma": None}).volatility.sigma == 1.0
+    # sigma defaults to None, so an h_spec alone is enough
+    cfg = ExperimentConfig(experiment="lln", h_spec={"form": "power_law", "a": 1.0, "b": 1.0})
+    assert cfg.sigma is None and cfg.volatility.kind == "power_law"
+    assert ExperimentConfig(experiment="lln").volatility.sigma == 1.0
+    # a band h/sqrt(n) below 1e-12 is refused for either model
+    for model in ("br", "max2bm"):
+        with pytest.raises(ValueError, match="band h/sqrt\\(n\\) must be at least 1e-12"):
+            ExperimentConfig(experiment="clt", model=model, n=64, reps=4, halfwidth=5e-324)
+        with pytest.raises(ValueError, match="band h/sqrt\\(n\\) must be at least 1e-12"):
+            ExperimentConfig(experiment="clt", model=model, n=64, reps=4, halfwidth=7e-12)
+        ExperimentConfig(experiment="clt", model=model, n=64, reps=4, halfwidth=8e-12)
 
 
 def test_config_roundtrip_and_hash():
@@ -117,6 +128,20 @@ def test_constant_h_spec_runs_as_sigma(monkeypatch, experiment, p):
         # sigma * J_1 at sigma = 2; J_1 matches -1/(2 pi) to 1e-14
         assert by_spec.aggregate["bias_integral_limit"] == pytest.approx(-1.0 / math.pi,
                                                                          abs=1e-5)
+
+
+@pytest.mark.parametrize("experiment", ["clt", "lln"])
+def test_clt_and_lln_run_no_quadrature(monkeypatch, experiment):
+    # J_p and lambda(phi_{p,1}) = 2 J_p are closed forms, so neither a br
+    # clt nor a br lln run integrates anything
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+    monkeypatch.setattr(mh.gauss_kernels, "adaptive_gauss_kronrod", refuse)
+    monkeypatch.setattr(mh.increment_law, "adaptive_gauss_kronrod", refuse)
+    monkeypatch.setenv("MAXSTABLE_PV_THREADS", "1")
+    report = mh.run_experiment(ExperimentConfig(experiment=experiment, n=256, reps=4,
+                                                master_seed=2))
+    assert report.aggregate["truncated"] == 0
 
 
 def test_run_lln_max2bm_small():
@@ -274,16 +299,16 @@ def test_run_experiment_dispatch():
 
 @pytest.mark.parametrize("case, workers, digest", [
     (dict(experiment="clt", sigma=1.0), "1",
-     "5dc10fa5827a57109f111e135e35b3b195fa97b095e14c3b17b06680143be656"),
+     "90f50f84707faba7803a5ad4200d9761b4387341a9d997d7371a2208221db108"),
     (dict(experiment="clt", sigma=2.0), "1",
-     "80cbe06aff35500a93fdc344cc112ddf1435afdccad86459ebee35afd1bae2b1"),
+     "9aef86ae47f62800a774c45c7b7e85edceccf4efef9497d8a4148fb1a8c0e17a"),
     (dict(experiment="clt", sigma=None,
           h_spec={"form": "power_law", "a": 1.0, "b": 1.0, "gamma": 1.0}), "1",
-     "d9df21a279de9765c3f9d0443a4b2d38b6999e79b470b34f41144efc3f5198ff"),
+     "cc2689bb7eddb7ce08e1a98eb3000c051fe0ee2c7d3c5642c7ed22c868bf60cb"),
     (dict(experiment="frechet", sigma=1.0, n=256), "2",
      "1d3f928f87d0c469793079d0d31c2e60b865d301da88e04c6664bb962e83bff4"),
     (dict(experiment="clt", model="max2bm"), "1",
-     "10d8cc365fe567c0a8a666d7e64267ff85aa8c6f0582bfd0d08c604797a102ee"),
+     "ff4cd1b1e4455142325588893a1d067a9f0b62cbe3b60aaa3294ea637f056baf"),
 ], ids=("clt-sigma1", "clt-sigma2", "clt-power", "frechet-pooled", "clt-max2bm"))
 def test_report_golden_digests(monkeypatch, case, workers, digest):
     # SHA-256 of the canonical report; any change to a drawn number, a

@@ -568,8 +568,8 @@ def test_br_retain_margin_moves_no_reported_number(vol, n, seed, rep, eps, budge
     # the sampler refines and keeps only the atoms within 4/sqrt(n) of the
     # maximum (at most 1 for n >= 16); every atom refined and kept at a
     # margin of 1 must give the same log eta, atom count, stop margin and
-    # pair bias functional at any halfwidth the functional accepts (from
-    # 1e-3 up: a subnormal halfwidth overflows the step weights to inf)
+    # pair bias functional at halfwidths from 1e-3 up to the largest the
+    # functional accepts
     h, grid = _GOLDEN_VOLS[vol], Grid(n)
     # h/sqrt(n) may round up to the margin just below h = 4; such an h is refused
     assume(halfwidth / math.sqrt(n) < path_sim.retain_margin(n))
