@@ -3,7 +3,6 @@ Brown-Resnick max-stable processes."""
 
 from .quadrature import QuadratureConfig, QuadratureError
 from .gauss_kernels import (
-    KernelTable,
     abs_moment,
     bias_integral,
     lambda_integral,

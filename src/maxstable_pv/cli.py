@@ -23,8 +23,7 @@ import sys
 
 import numpy as np
 
-from . import increment_law, mc_harness, pv_stats
-from .gauss_kernels import KernelTable
+from . import gauss_kernels, increment_law, mc_harness, pv_stats
 from .path_sim import (
     Grid,
     GridPath,
@@ -36,7 +35,7 @@ from .path_sim import (
     sample_brown_resnick,
     sample_max_two_bm,
 )
-from .quadrature import QuadratureConfig, QuadratureError
+from .quadrature import QuadratureError
 
 EXIT_OK = 0
 EXIT_VERDICT_FAILED = 1
@@ -76,10 +75,14 @@ def _load_h_spec(path: str) -> VolatilitySpec:
 
 
 def _cmd_tabulate_kernels(args) -> int:
-    q = QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
-    table = KernelTable.build(args.p, args.sigma, q, points=args.points)
+    w, phi, phi2, lam, lam2 = gauss_kernels.tabulate_kernels(args.p, args.sigma, args.points)
+    tol = gauss_kernels.KERNEL_TOL
     with _output(args.out) as fh:
-        table.to_csv(fh)
+        fh.write(f"# p={args.p} sigma={args.sigma!r} lambda_phi={lam!r} "
+                 f"lambda_phi2={lam2!r} abs_tol={tol.abs_tol!r} rel_tol={tol.rel_tol!r}\n")
+        fh.write("w,phi,phi2\n")
+        for row in zip(w, phi, phi2):
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
     return EXIT_OK
 
 
@@ -206,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--p", type=int, required=True)
     k.add_argument("--sigma", type=float, default=1.0)
     k.add_argument("--points", type=int, default=81)
-    k.add_argument("--abs-tol", type=float, default=1e-9)
-    k.add_argument("--rel-tol", type=float, default=1e-8)
     k.add_argument("--out", default=None)
     k.set_defaults(fn=_cmd_tabulate_kernels)
 

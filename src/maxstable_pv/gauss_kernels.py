@@ -1,7 +1,8 @@
 """Gaussian analytic objects behind the power-variation limit theorems.
 
-Everything here is deterministic, no simulation: quadrature, and the closed
-form of J_p.  The central object is the two-sided kernel
+Everything here is deterministic, no simulation: quadrature at the one
+tolerance KERNEL_TOL, and the closed form of J_p.  The central object is
+the two-sided kernel
 
     psi_p(x, y, w) = (|y+w|^p - |x|^p) 1{x-y <= w <= 0}
                    + (|x-w|^p - |y|^p) 1{0 <= w <= x-y}
@@ -29,7 +30,6 @@ accurate for all u (the naive ratio is 0/0 in floating point past u ~ 38).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erfcx, ndtr
@@ -43,7 +43,8 @@ __all__ = [
     "lambda_integral",
     "bias_integral",
     "bias_integrand_bracket",
-    "KernelTable",
+    "tabulate_kernels",
+    "KERNEL_TOL",
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -51,6 +52,8 @@ _SQRT2 = math.sqrt(2.0)
 # Gaussian-weighted integrands are cut at 8 standard deviations, which leaves
 # mass below 1e-15 outside the window
 _TAIL_CUTOFF = 8.0
+# the tolerance of every kernel quadrature: phi, phi2 and their lambda integrals
+KERNEL_TOL = QuadratureConfig()
 
 
 def _npdf(x):
@@ -58,10 +61,19 @@ def _npdf(x):
 
 
 def abs_moment(p: float) -> float:
-    """p-th absolute moment of a standard Gaussian, m_p = 2^{p/2} Gamma((p+1)/2) / sqrt(pi)."""
+    """p-th absolute moment of a standard Gaussian, m_p = 2^{p/2} Gamma((p+1)/2) / sqrt(pi).
+
+    OverflowError from p = 302, where the product leaves the float range.
+    """
     if not (np.isfinite(p) and p >= 1):
         raise ValueError(f"abs_moment requires finite p >= 1, got {p}")
-    return 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
+    try:
+        mp = 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
+    except OverflowError:           # math.gamma itself, from p = 343
+        mp = math.inf
+    if not math.isfinite(mp):
+        raise OverflowError(f"m_p at p = {p} is past the float range")
+    return mp
 
 
 def _check_order(p) -> int:
@@ -163,8 +175,7 @@ def _branch_params(sigma: float, w, u):
     return mu1, mu2
 
 
-def _phi_pointwise(p: int, sigma: float, w: np.ndarray, squared: bool,
-                   cfg: QuadratureConfig) -> np.ndarray:
+def _phi_pointwise(p: int, sigma: float, w: np.ndarray, squared: bool) -> np.ndarray:
     """Vector of kernel values at the abscissae ``w`` with a shared error budget."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
     s = sigma / _SQRT2
@@ -186,35 +197,33 @@ def _phi_pointwise(p: int, sigma: float, w: np.ndarray, squared: bool,
             inner = _abs_noncentral_moment(t1, p) - _abs_noncentral_moment(t2, p)
         return _npdf(u) * (s ** (2 * p if squared else p)) * inner * span
 
-    value = np.atleast_1d(adaptive_gauss_kronrod(integrand, 0.0, 1.0, cfg).value)
+    value = np.atleast_1d(adaptive_gauss_kronrod(integrand, 0.0, 1.0, KERNEL_TOL).value)
     # at w = 0 both branches contribute; the two half-plane integrals coincide
     return np.where(w == 0.0, 2.0 * value, value)
 
 
-def phi_kernel(p: int, sigma: float, w: float, q: QuadratureConfig | None = None) -> float:
+def phi_kernel(p: int, sigma: float, w: float) -> float:
     """phi_{p,sigma}(w): Gaussian average of the rescaled two-sided kernel."""
     p = _check_order(p)
     sigma = _check_sigma(sigma)
-    cfg = q or QuadratureConfig()
-    return float(_phi_pointwise(p, sigma, np.asarray([w]), squared=False, cfg=cfg)[0])
+    return float(_phi_pointwise(p, sigma, np.asarray([w]), squared=False)[0])
 
 
-def phi2_kernel(p: int, sigma: float, w: float, q: QuadratureConfig | None = None) -> float:
+def phi2_kernel(p: int, sigma: float, w: float) -> float:
     """phi2_{p,sigma}(w): Gaussian average of the squared kernel; nonnegative."""
     p = _check_order(p)
     sigma = _check_sigma(sigma)
-    cfg = q or QuadratureConfig()
-    return float(_phi_pointwise(p, sigma, np.asarray([w]), squared=True, cfg=cfg)[0])
+    return float(_phi_pointwise(p, sigma, np.asarray([w]), squared=True)[0])
 
 
-def _support_halfwidth(p: int, sigma: float, squared: bool, cfg: QuadratureConfig) -> float:
+def _support_halfwidth(p: int, sigma: float, squared: bool) -> float:
     """Smallest W (on a sigma grid) with |kernel(w)| provably below abs_tol for |w| > W.
 
     Cauchy-Schwarz against the indicator: |phi(w)| <= sqrt(E psi^2) *
     sqrt(Phi(-|w| / (sigma sqrt(2)))), and E psi^2 is bounded by moments of
     the two branch arguments.
     """
-    target = 0.1 * cfg.abs_tol
+    target = 0.1 * KERNEL_TOL.abs_tol
     for k in range(6, 121):
         w = k * sigma / 2.0
         theta = w / sigma
@@ -227,8 +236,7 @@ def _support_halfwidth(p: int, sigma: float, squared: bool, cfg: QuadratureConfi
     return 60.0 * sigma
 
 
-def lambda_integral(p: int, sigma: float, q: QuadratureConfig | None = None,
-                    which: str = "phi") -> float:
+def lambda_integral(p: int, sigma: float, which: str = "phi") -> float:
     """lambda(phi_{p,sigma}) or lambda(phi2_{p,sigma}): the kernel's integral over w.
 
     The w-domain is truncated where the kernel is provably below abs_tol;
@@ -238,14 +246,13 @@ def lambda_integral(p: int, sigma: float, q: QuadratureConfig | None = None,
     sigma = _check_sigma(sigma)
     if which not in ("phi", "phi2"):
         raise ValueError(f"which must be 'phi' or 'phi2', got {which!r}")
-    cfg = q or QuadratureConfig()
     squared = which == "phi2"
-    half = _support_halfwidth(p, sigma, squared, cfg)
+    half = _support_halfwidth(p, sigma, squared)
 
     def integrand(w):
-        return _phi_pointwise(p, sigma, w, squared=squared, cfg=cfg)
+        return _phi_pointwise(p, sigma, w, squared=squared)
 
-    res = adaptive_gauss_kronrod(integrand, -half, half, cfg, breakpoints=(0.0,))
+    res = adaptive_gauss_kronrod(integrand, -half, half, KERNEL_TOL, breakpoints=(0.0,))
     return float(res.value)
 
 
@@ -290,53 +297,16 @@ def bias_integral(p: int) -> float:
 # tabulated kernels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KernelTable:
-    """phi and phi2 tabulated on a w-grid together with their integrals.
-
-    Immutable once built; safe to share across parallel replicates.
-    """
-
-    p: int
-    sigma: float
-    w_grid: np.ndarray
-    phi_values: np.ndarray
-    phi2_values: np.ndarray
-    lambda_phi: float
-    lambda_phi2: float
-    config: QuadratureConfig = field(default_factory=QuadratureConfig)
-
-    def __post_init__(self):
-        w = np.asarray(self.w_grid, dtype=float)
-        if w.ndim != 1 or len(w) < 2 or np.any(np.diff(w) <= 0):
-            raise ValueError("w_grid must be strictly increasing with >= 2 points")
-        if not (np.all(np.isfinite(self.phi_values)) and np.all(np.isfinite(self.phi2_values))):
-            raise ValueError("kernel values must be finite")
-
-    @classmethod
-    def build(cls, p: int, sigma: float, q: QuadratureConfig | None = None,
-              points: int = 81) -> "KernelTable":
-        p = _check_order(p)
-        sigma = _check_sigma(sigma)
-        cfg = q or QuadratureConfig()
-        half = _support_halfwidth(p, sigma, squared=False, cfg=cfg)
-        w = np.linspace(-half, half, points)
-        return cls(
-            p=p, sigma=sigma, w_grid=w,
-            phi_values=_phi_pointwise(p, sigma, w, squared=False, cfg=cfg),
-            phi2_values=_phi_pointwise(p, sigma, w, squared=True, cfg=cfg),
-            lambda_phi=lambda_integral(p, sigma, cfg, "phi"),
-            lambda_phi2=lambda_integral(p, sigma, cfg, "phi2"),
-            config=cfg,
-        )
-
-    def to_csv(self, fh) -> None:
-        """Write the table to the open text handle ``fh``."""
-        fh.write(
-            f"# p={self.p} sigma={self.sigma!r} lambda_phi={self.lambda_phi!r} "
-            f"lambda_phi2={self.lambda_phi2!r} abs_tol={self.config.abs_tol!r} "
-            f"rel_tol={self.config.rel_tol!r}\n"
-        )
-        fh.write("w,phi,phi2\n")
-        for w, a, b in zip(self.w_grid, self.phi_values, self.phi2_values):
-            fh.write(f"{float(w)!r},{float(a)!r},{float(b)!r}\n")
+def tabulate_kernels(p: int, sigma: float, points: int = 81) -> tuple:
+    """(w, phi, phi2, lambda_phi, lambda_phi2): phi_{p,sigma} and
+    phi2_{p,sigma} on ``points`` equispaced abscissae over the support of
+    phi, and the two kernels' integrals over w."""
+    p = _check_order(p)
+    sigma = _check_sigma(sigma)
+    if points < 2:
+        raise ValueError(f"points must be at least 2, got {points}")
+    half = _support_halfwidth(p, sigma, squared=False)
+    w = np.linspace(-half, half, points)
+    return (w, _phi_pointwise(p, sigma, w, squared=False),
+            _phi_pointwise(p, sigma, w, squared=True),
+            lambda_integral(p, sigma, "phi"), lambda_integral(p, sigma, "phi2"))

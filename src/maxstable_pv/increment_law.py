@@ -18,10 +18,13 @@ F satisfies F(u) + F(-u) = 1 exactly, and E|U|^p -> m_p at rate 1/sqrt(n)
 with limiting constant J_p (see gauss_kernels.bias_integral).  The law does
 not depend on the grid index i: the log-process is stationary.
 
-For u > 8 the tail product g(u) is evaluated through the scaled
+For u - a > 8 the tail product g(u) is evaluated through the scaled
 complementary error function so that the Gaussian tail and the exponential
 tilt share one exponent; the naive product loses all relative accuracy once
-1 - Phi underflows.
+1 - Phi underflows.  At large sigma/sqrt(n) the tilt e^{-sigma u / sqrt(n)}
+overflows to inf for u < 0, which gives both CDFs their limit 0 there.
+The exact moments use the one tolerance MOMENT_TOL, which moment_bias needs
+for sqrt(n) (E|U|^p - m_p) at n = 1e8.
 """
 
 from __future__ import annotations
@@ -39,9 +42,11 @@ __all__ = [
     "cond_cdf",
     "marginal_cdf",
     "exact_abs_moment",
+    "MOMENT_TOL",
 ]
 
 _SQRT2 = math.sqrt(2.0)
+MOMENT_TOL = QuadratureConfig(1e-13, 1e-12)
 
 
 @dataclass(frozen=True)
@@ -66,8 +71,11 @@ def _tail_product(u, params: IncrementLawParams):
     u = np.asarray(u, dtype=float)
     a = params.half_step
     rate = params.sigma / math.sqrt(params.n)
-    naive = np.exp(-rate * u) * ndtr(-(u - a))
     with np.errstate(over="ignore"):
+        naive = np.exp(-rate * u) * ndtr(-(u - a))
+    # the stable form is read only where u - a > 8; elsewhere erfcx of a
+    # large negative argument overflows, and times an underflowed exp is nan
+    with np.errstate(over="ignore", invalid="ignore"):
         stable = 0.5 * np.exp(-rate * u - 0.5 * (u - a) ** 2) * erfcx((u - a) / _SQRT2)
     return np.where(u - a > 8.0, stable, naive)
 
@@ -79,7 +87,8 @@ def cond_cdf(u, eta: float, params: IncrementLawParams):
     u = np.asarray(u, dtype=float)
     a = params.half_step
     rate = params.sigma / math.sqrt(params.n)
-    bracket = np.exp(-rate * u) * ndtr(-u + a) - ndtr(-u - a)
+    with np.errstate(over="ignore"):
+        bracket = np.exp(-rate * u) * ndtr(-u + a) - ndtr(-u - a)
     out = np.exp(-bracket / eta) * ndtr(u + a)
     return float(out) if out.ndim == 0 else out
 
@@ -93,12 +102,10 @@ def marginal_cdf(u, params: IncrementLawParams):
     return float(out) if out.ndim == 0 else out
 
 
-def exact_abs_moment(p: float, params: IncrementLawParams,
-                     q: QuadratureConfig | None = None) -> float:
-    """E|U|^p by adaptive quadrature of the exact tail integral."""
+def exact_abs_moment(p: float, params: IncrementLawParams) -> float:
+    """E|U|^p by adaptive quadrature of the exact tail integral, at MOMENT_TOL."""
     if not (np.isfinite(p) and p >= 1):
         raise ValueError(f"exact_abs_moment requires finite p >= 1, got {p}")
-    cfg = q or QuadratureConfig()
     a = params.half_step
 
     def integrand(u):
@@ -107,5 +114,5 @@ def exact_abs_moment(p: float, params: IncrementLawParams,
         return 2.0 * p * u ** (p - 1.0) * g / (ndtr(u + a) + g)
 
     # the tail of U is Gaussian-like: past 16 it is lost in rounding
-    res = adaptive_gauss_kronrod(integrand, 0.0, 16.0, cfg)
+    res = adaptive_gauss_kronrod(integrand, 0.0, 16.0, MOMENT_TOL)
     return float(res.value)

@@ -17,9 +17,13 @@ An ExperimentConfig resolves H once, into ``config.volatility``: ``sigma``
 and a constant ``h_spec`` give the same spec, and max2bm is the constant-1
 case.  It checks every precondition of its experiment as well (frechet,
 marginal_increment and estimate_h need model br; marginal_increment and
-moment_bias need constant H), and runs the library's own range checks on
-the order p, epsilon, halfwidth and the estimate_h window, so a bad config
-raises ValueError (CLI exit 2) before any replicate is drawn.
+moment_bias need constant H), runs the library's own range checks on the
+order p, epsilon, halfwidth and the estimate_h window, and evaluates the
+closed-form constants its experiment reads (``_closed_form_constants``), so
+a bad config, or a p that takes one of them past the float range, raises
+ValueError (CLI exit 2) before any replicate is drawn.  The exact moments
+of marginal_increment and moment_bias are quadratures, run only by the
+experiment.
 
 A replicate whose atom budget runs out (TruncationError) is dropped by
 ``_map_replicates`` alone, and every sampling experiment judges the rest and
@@ -65,7 +69,6 @@ from .path_sim import (
     sample_brown_resnick,
     sample_max_two_bm,
 )
-from .quadrature import QuadratureConfig
 
 __all__ = [
     "ExperimentConfig",
@@ -145,6 +148,21 @@ class ExperimentConfig:
             pv_stats.check_halfwidth(self.halfwidth, self.n, kept_atoms=self.model == "br")
         if self.experiment == "estimate_h":
             pv_stats.check_window(self.window, self.n)
+        self._check_constants()
+
+    def _check_constants(self) -> None:
+        """Evaluate the closed-form constants the experiment reads, through the
+        helpers it calls itself, so that one past the float range is refused
+        before any replicate is drawn."""
+        p, experiment = self.p, self.experiment
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = _closed_form_constants(self)
+        except OverflowError as exc:
+            raise ValueError(f"p = {p} is too large for {experiment}: {exc}") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"p = {p} is too large for {experiment}: a constant "
+                             f"it reads at this volatility is past the float range")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -379,17 +397,27 @@ def _lln(config: ExperimentConfig) -> tuple:
     return {"B": b.tolist()}, aggregate, verdicts
 
 
+def _clt_constants(cfg: ExperimentConfig):
+    """The LLN target, lambda(phi_{p,1}) (read by the max2bm slope and the br
+    pair functional) and the conditional variance (m_2p - m_p^2) int H^{2p}."""
+    p = cfg.p
+    m2p = gauss_kernels.abs_moment(2 * p)
+    mp = gauss_kernels.abs_moment(p)
+    cond_var = (m2p - mp ** 2) * cfg.volatility.integrated_power(2 * p, cfg.t_eval)
+    return _lln_target(cfg), pv_stats.lambda_phi_unit(p), cond_var
+
+
 def _clt(config: ExperimentConfig) -> tuple:
     """Central-limit diagnostics: regression of S = sqrt(n)(B - target) on the
     per-path bias estimate, residual variance, and Gaussianity of the
     standardized residuals."""
     cols, truncated = _map_replicates(config, _row_clt)
-    p, t = config.p, config.t_eval
-    s = math.sqrt(config.n) * (cols["B"] - _lln_target(config))
+    target, lam1, cond_var = _clt_constants(config)
+    s = math.sqrt(config.n) * (cols["B"] - target)
     x = cols["x"]
     # the bias estimate is (lambda(phi_{p,1}) / 2) * local time for max2bm,
     # and the pair functional itself for br
-    slope_target = 0.5 * pv_stats.lambda_phi_unit(p) if config.model == "max2bm" else 1.0
+    slope_target = 0.5 * lam1 if config.model == "max2bm" else 1.0
     bhat = slope_target * x
 
     design = np.column_stack([x, np.ones_like(x)])
@@ -399,9 +427,6 @@ def _clt(config: ExperimentConfig) -> tuple:
     resid = s - bhat
     resid_var = float(np.var(resid, ddof=1))
 
-    m2p = gauss_kernels.abs_moment(2 * p)
-    mp = gauss_kernels.abs_moment(p)
-    cond_var = (m2p - mp ** 2) * config.volatility.integrated_power(2 * p, t)
     ks = ks_statistic(resid / math.sqrt(cond_var), ndtr)
 
     aggregate = {
@@ -495,6 +520,12 @@ def _facts(config: ExperimentConfig) -> tuple:
     return per_rep, aggregate, verdicts
 
 
+def _moment_bias_constants(cfg: ExperimentConfig):
+    """The limit sigma * J_p of the scaled moment gap, and m_p."""
+    p = cfg.p
+    return cfg.volatility.sigma * gauss_kernels.bias_integral(p), gauss_kernels.abs_moment(p)
+
+
 def _moment_bias(config: ExperimentConfig) -> tuple:
     """Exact moments by quadrature: the scaled moment gap sqrt(n)(E|U|^p - m_p)
     along a ladder of n against its closed-form limit sigma * J_p.
@@ -506,14 +537,12 @@ def _moment_bias(config: ExperimentConfig) -> tuple:
     """
     p = config.p
     sigma = config.volatility.sigma
-    cfg_q = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12)
-    limit = sigma * gauss_kernels.bias_integral(p)
-    mp = gauss_kernels.abs_moment(p)
+    limit, mp = _moment_bias_constants(config)
     ladder = [10 ** k for k in range(2, 9)]
     gaps = []
     for n in ladder:
         params = increment_law.IncrementLawParams(sigma, n)
-        moment = increment_law.exact_abs_moment(p, params, cfg_q)
+        moment = increment_law.exact_abs_moment(p, params)
         gaps.append(math.sqrt(n) * (moment - mp))
     rel_gap = abs(gaps[-1] - limit) / abs(limit)
     aggregate = {
@@ -532,6 +561,21 @@ def _h_recovery(config: ExperimentConfig) -> tuple:
     aggregate = {"mean_interior_mae": mean_mae, "truncated": truncated}
     verdicts = [Verdict("h_recovery_mae", mean_mae, 0.1)]
     return {"mae": mae.tolist()}, aggregate, verdicts
+
+
+def _closed_form_constants(cfg: ExperimentConfig) -> tuple:
+    """What cfg's experiment reads in closed form: its own helpers' values,
+    and for the power-variation experiments the scale pv_stats applies to
+    every path's sum (n^{p/2-1}, and n^{p/2} with m_p in estimate_h)."""
+    if cfg.experiment == "lln":
+        return (*_lln_target_and_allowance(cfg), float(cfg.n) ** (cfg.p / 2.0 - 1.0))
+    if cfg.experiment == "clt":
+        return (*_clt_constants(cfg), float(cfg.n) ** (cfg.p / 2.0 - 1.0))
+    if cfg.experiment == "moment_bias":
+        return _moment_bias_constants(cfg)
+    if cfg.experiment == "estimate_h":
+        return gauss_kernels.abs_moment(cfg.p), float(cfg.n) ** (cfg.p / 2.0)
+    return ()
 
 
 EXPERIMENTS = {

@@ -30,7 +30,6 @@ from maxstable_pv.path_sim import (
     sample_brown_resnick,
     sample_max_two_bm,
 )
-from maxstable_pv.quadrature import QuadratureConfig
 
 MASTER_SEED = 1
 LINEAR_H = {"form": "power_law", "a": 1.0, "b": 1.0, "gamma": 1.0}
@@ -91,12 +90,11 @@ def test_criterion_01_exact_identity_suite():
     checks.append(_line("moment recurrence", rec < 1e-12,
                         f"max rel err m_(p+2)=(p+1)m_p = {rec:.2e}"))
 
-    cfg = QuadratureConfig()
     worst = 0.0
     for p in (1, 2, 3):
-        base = gk.lambda_integral(p, 1.0, cfg)
+        base = gk.lambda_integral(p, 1.0)
         for sigma in (0.5, 1.0, 2.0):
-            val = gk.lambda_integral(p, sigma, cfg)
+            val = gk.lambda_integral(p, sigma)
             worst = max(worst, abs(val / (sigma ** (p + 1) * base) - 1.0))
     checks.append(_line("lambda scaling law", worst < 1e-6,
                         f"max rel err sigma^(p+1) = {worst:.2e}"))
@@ -112,11 +110,10 @@ def test_criterion_01_exact_identity_suite():
 
 def test_criterion_02_moment_bias_convergence():
     started = time.perf_counter()
-    q = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12)
     checks = []
     for p in (1, 2):
         limit = gk.bias_integral(p)
-        gap = math.sqrt(1e8) * (exact_abs_moment(p, IncrementLawParams(1.0, 10 ** 8), q)
+        gap = math.sqrt(1e8) * (exact_abs_moment(p, IncrementLawParams(1.0, 10 ** 8))
                                 - gk.abs_moment(p))
         rel = abs(gap - limit) / abs(limit)
         checks.append(_line(f"moment bias p={p}", rel < 0.01,

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from maxstable_pv import cli, mc_harness, pv_stats
+from maxstable_pv import cli, gauss_kernels, increment_law, mc_harness, pv_stats
 from maxstable_pv.path_sim import (
     Grid,
     VolatilitySpec,
@@ -13,6 +13,7 @@ from maxstable_pv.path_sim import (
     sample_brown_resnick,
     sample_max_two_bm,
 )
+from maxstable_pv.quadrature import QuadratureError
 
 
 def run_cli(*argv):
@@ -43,15 +44,28 @@ def test_unknown_config_field_exits_2(tmp_path, capsys):
     assert run_cli("verify", "--config", str(cfg)) == 2
 
 
-def test_unreachable_tolerance_exits_3(capsys):
-    assert run_cli("tabulate-kernels", "--p", "2", "--abs-tol", "1e-30",
-                   "--rel-tol", "1e-30") == 3
-
-
-def test_constant_overflow_exits_3(capsys):
-    # J_400 is about Gamma(200), past the largest float
-    assert run_cli("verify", "--experiment", "moment_bias", "--p", "400") == 3
+@pytest.mark.parametrize("module", [gauss_kernels, increment_law],
+                         ids=("tabulate-kernels", "tabulate-increment-law"))
+@pytest.mark.parametrize("error", [QuadratureError("tolerance missed", None),
+                                   OverflowError("past the float range")],
+                         ids=("quadrature", "overflow"))
+def test_numerical_failure_exits_3(module, error, monkeypatch, capsys):
+    # a missed quadrature tolerance or an overflow in either tabulation is a
+    # numerical failure, reported on stderr
+    def fail(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(module, "adaptive_gauss_kronrod", fail)
+    argv = (["tabulate-kernels", "--p", "2"] if module is gauss_kernels
+            else ["tabulate-increment-law", "--sigma", "1.0", "--n", "64"])
+    assert run_cli(*argv) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_constant_overflow_exits_2(capsys):
+    # J_400 is about Gamma(200), past the largest float; the config refuses it
+    # before any quadrature runs
+    assert run_cli("verify", "--experiment", "moment_bias", "--p", "400") == 2
+    assert "p = 400 is too large for moment_bias" in capsys.readouterr().err
 
 
 def test_tabulate_kernels_roundtrip(tmp_path):
@@ -60,9 +74,17 @@ def test_tabulate_kernels_roundtrip(tmp_path):
                    "--points", "21", "--out", str(out)) == 0
     with open(out, encoding="utf-8") as fh:
         meta = dict(item.split("=", 1) for item in fh.readline()[1:].split())
-    w_grid = np.loadtxt(out, delimiter=",", skiprows=2)[:, 0]
+    w, phi, phi2 = np.loadtxt(out, delimiter=",", skiprows=2).T
     assert int(meta["p"]) == 2 and float(meta["sigma"]) == 1.0
-    assert len(w_grid) == 21
+    assert len(w) == 21
+    # repr round-trips, so the CSV carries the table bit for bit
+    want = gauss_kernels.tabulate_kernels(2, 1.0, points=21)
+    for got, values in zip((w, phi, phi2), want[:3]):
+        assert np.array_equal(got, values)
+    assert float(meta["lambda_phi"]) == want[3]
+    assert float(meta["lambda_phi2"]) == want[4]
+    assert float(meta["abs_tol"]) == gauss_kernels.KERNEL_TOL.abs_tol
+    assert float(meta["rel_tol"]) == gauss_kernels.KERNEL_TOL.rel_tol
 
 
 def test_tabulate_increment_law(tmp_path):
@@ -246,17 +268,35 @@ _POWER_LAW = {"form": "power_law", "a": 1.0, "b": 1.0, "gamma": 1.0}
     (["--experiment", "clt", "--p", "-1"], None, "order p must be a positive integer"),
     # the sampler's block-memory cap, n = 2^20
     (["--experiment", "lln", "--n", "1048576", "--reps", "8"], None, "above the cap"),
+    # m_p and J_p overflow past p ~ 300, clt's m_2p past p ~ 150, and the
+    # power-variation scale n^{p/2-1} past p ~ 188 at n = 2048
+    (["--experiment", "lln", "--model", "br", "--p", "339", "--n", "64", "--reps", "4"],
+     None, "p = 339 is too large for lln"),
+    (["--experiment", "clt", "--model", "max2bm", "--p", "200", "--n", "64", "--reps", "4"],
+     None, "m_p at p = 400 is past the float range"),
+    (["--experiment", "lln", "--model", "max2bm", "--p", "200", "--n", "2048", "--reps", "4"],
+     None, "p = 200 is too large for lln"),
+    (["--experiment", "estimate_h", "--p", "302", "--n", "64", "--window", "16"], None,
+     "p = 302 is too large for estimate_h"),
+    # at sigma = 193 the LLN target m_100 sigma^100 (about 1e307) is finite,
+    # while the allowance's |J_100| sigma^101 is not
+    (["--experiment", "lln", "--model", "br", "--p", "100", "--sigma", "193", "--n", "64",
+      "--reps", "4"], None, "p = 100 is too large for lln"),
 ], ids=("marginal-max2bm", "frechet-max2bm", "estimate_h-no-window", "max2bm-sigma2",
         "max2bm-h_spec", "malformed-h_spec", "moment_bias-power", "marginal-power",
         "power-law-nan", "epsilon-0", "halfwidth-0", "halfwidth-100", "halfwidth-4-n4096",
         "halfwidth-subnormal-br", "halfwidth-subnormal-max2bm", "window-4", "lln-p0",
-        "clt-p-1", "n-over-cap"))
+        "clt-p-1", "n-over-cap", "lln-p339", "clt-m2p-overflow", "lln-scale-overflow",
+        "estimate_h-overflow", "lln-allowance-overflow"))
 def test_verify_runner_preconditions_exit_2(argv, file_cfg, message, tmp_path,
                                             monkeypatch, capsys):
     # each config breaks a precondition of its experiment or model; building
     # the config refuses it, before any replicate is drawn or report written
     monkeypatch.setattr(mc_harness, "_map_replicates",
                         lambda *a: pytest.fail("a replicate was drawn"))
+    for sampler in ("sample_brown_resnick", "sample_max_two_bm"):
+        monkeypatch.setattr(mc_harness, sampler,
+                            lambda *a, **k: pytest.fail("a sampler was called"))
     if file_cfg is not None:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(file_cfg))

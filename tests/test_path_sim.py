@@ -629,6 +629,51 @@ def test_bridge_fill_law(vol):
     assert abs(lag1) < 5 / math.sqrt(u[:, 1:].size)
 
 
+# grid-index pairs at n = 256, whose coarse points are the multiples of 16:
+# a step inside a coarse segment, a step ending at a coarse point, a step
+# starting from one, one coarse segment, (1/4, 3/4) and (0, 1)
+_HR_PAIRS = ((102, 103), (127, 128), (128, 129), (128, 144), (64, 192), (0, 256))
+
+
+def _husler_reiss_z(vol, paths, seed):
+    """(theta_hat - theta) / SE for each of _HR_PAIRS over ``paths`` sampled
+    paths at n = 256.  (eta_s, eta_t) is Husler-Reiss with extremal
+    coefficient theta = 2 Phi(a/2), a^2 = int_s^t H^2 (Husler & Reiss 1989;
+    Kabluchko, Schlather & de Haan 2009); the F-madogram
+    nu = E|F(eta_s) - F(eta_t)| / 2, F(z) = exp(-1/z), estimates it as
+    (1 + 2 nu) / (1 - 2 nu) (Cooley, Naveau & Poncet 2006), and the delta
+    method gives the standard error from the sample."""
+    grid = Grid(256)
+    log_eta = np.array([sample_brown_resnick(vol, grid, replicate_rng(seed, r), 1e-3)
+                        .log_eta.values for r in range(paths)])
+    f = np.exp(-np.exp(-log_eta))       # F(eta), uniform on (0, 1)
+    var = vol.integrated_power(2, grid.times)
+    z = []
+    for i, j in _HR_PAIRS:
+        d = 0.5 * np.abs(f[:, i] - f[:, j])
+        nu = d.mean()
+        theta_hat = (1.0 + 2.0 * nu) / (1.0 - 2.0 * nu)
+        se = 4.0 / (1.0 - 2.0 * nu) ** 2 * d.std(ddof=1) / math.sqrt(paths)
+        theta = 2.0 * ndtr(math.sqrt(var[j] - var[i]) / 2.0)
+        z.append(float((theta_hat - theta) / se))
+    return z
+
+
+# the path counts keep the four cases near 2 s in all: sigma = 2 draws about
+# five times the atoms of sigma = 1
+@pytest.mark.parametrize("vol, paths", [(VolatilitySpec.constant(1.0), 1000),
+                                        (VolatilitySpec.constant(2.0), 250),
+                                        (VolatilitySpec.power_law(1.0, 1.0, 1.0), 500),
+                                        (_ZIGZAG, 500)],
+                         ids=("sigma1", "sigma2", "linear", "zigzag"))
+def test_br_joint_law_is_husler_reiss(vol, paths):
+    # the joint law of eta at two times, which a wrong coarse variance, a
+    # fill in the wrong clock or a lost maximizing atom would break; the
+    # refine-all oracle shares the lattice and fill, so it cannot
+    z = _husler_reiss_z(vol, paths, seed=7)
+    assert max(abs(x) for x in z) < 4.0, dict(zip(_HR_PAIRS, z))
+
+
 # margins of 1 (the ids without a suffix), of the sampler on this 50-point
 # grid (0.57), and of the sampler at n = 4096 (0.0625)
 _SCREEN_MARGINS = {"": 1.0, "-margin-n50": path_sim.retain_margin(50),
