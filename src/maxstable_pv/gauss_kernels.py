@@ -1,7 +1,8 @@
 """Gaussian analytic objects behind the power-variation limit theorems.
 
 Everything here is deterministic, no simulation: quadrature at the one
-tolerance KERNEL_TOL, and the closed form of J_p.  The central object is
+tolerance KERNEL_TOL, met by the kernels up to order p = 9 (higher orders
+are refused), and the closed form of J_p.  The central object is
 the two-sided kernel
 
     psi_p(x, y, w) = (|y+w|^p - |x|^p) 1{x-y <= w <= 0}
@@ -54,6 +55,10 @@ _SQRT2 = math.sqrt(2.0)
 _TAIL_CUTOFF = 8.0
 # the tolerance of every kernel quadrature: phi, phi2 and their lambda integrals
 KERNEL_TOL = QuadratureConfig()
+# the largest order whose kernels meet KERNEL_TOL within the tail cutoff: the
+# mass phi2 loses there at w = 0 is 0.99 of the tolerance at p = 9 and 2.8
+# times it at p = 10, at sigma = 0.5, 1 and 2 alike (against a cutoff of 14)
+_MAX_KERNEL_ORDER = 9
 
 
 def _npdf(x):
@@ -86,6 +91,16 @@ def _check_sigma(sigma: float) -> float:
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be positive, got {sigma}")
     return float(sigma)
+
+
+def _check_kernel_args(p, sigma) -> tuple:
+    """(p, sigma) for the phi kernels: an order up to _MAX_KERNEL_ORDER, so
+    that every value meets KERNEL_TOL, and a positive sigma."""
+    p = _check_order(p)
+    if p > _MAX_KERNEL_ORDER:
+        raise ValueError(f"the phi kernels meet their tolerance only up to order "
+                         f"p = {_MAX_KERNEL_ORDER}, got {p}")
+    return p, _check_sigma(sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +219,13 @@ def _phi_pointwise(p: int, sigma: float, w: np.ndarray, squared: bool) -> np.nda
 
 def phi_kernel(p: int, sigma: float, w: float) -> float:
     """phi_{p,sigma}(w): Gaussian average of the rescaled two-sided kernel."""
-    p = _check_order(p)
-    sigma = _check_sigma(sigma)
+    p, sigma = _check_kernel_args(p, sigma)
     return float(_phi_pointwise(p, sigma, np.asarray([w]), squared=False)[0])
 
 
 def phi2_kernel(p: int, sigma: float, w: float) -> float:
     """phi2_{p,sigma}(w): Gaussian average of the squared kernel; nonnegative."""
-    p = _check_order(p)
-    sigma = _check_sigma(sigma)
+    p, sigma = _check_kernel_args(p, sigma)
     return float(_phi_pointwise(p, sigma, np.asarray([w]), squared=True)[0])
 
 
@@ -242,8 +255,7 @@ def lambda_integral(p: int, sigma: float, which: str = "phi") -> float:
     The w-domain is truncated where the kernel is provably below abs_tol;
     the integrand has a corner at w = 0 (branch switch), so 0 is a panel edge.
     """
-    p = _check_order(p)
-    sigma = _check_sigma(sigma)
+    p, sigma = _check_kernel_args(p, sigma)
     if which not in ("phi", "phi2"):
         raise ValueError(f"which must be 'phi' or 'phi2', got {which!r}")
     squared = which == "phi2"
@@ -301,8 +313,7 @@ def tabulate_kernels(p: int, sigma: float, points: int = 81) -> tuple:
     """(w, phi, phi2, lambda_phi, lambda_phi2): phi_{p,sigma} and
     phi2_{p,sigma} on ``points`` equispaced abscissae over the support of
     phi, and the two kernels' integrals over w."""
-    p = _check_order(p)
-    sigma = _check_sigma(sigma)
+    p, sigma = _check_kernel_args(p, sigma)
     if points < 2:
         raise ValueError(f"points must be at least 2, got {points}")
     half = _support_halfwidth(p, sigma, squared=False)

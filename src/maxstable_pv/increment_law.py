@@ -24,12 +24,16 @@ tilt share one exponent; the naive product loses all relative accuracy once
 1 - Phi underflows.  At large sigma/sqrt(n) the tilt e^{-sigma u / sqrt(n)}
 overflows to inf for u < 0, which gives both CDFs their limit 0 there.
 The exact moments use the one tolerance MOMENT_TOL, which moment_bias needs
-for sqrt(n) (E|U|^p - m_p) at n = 1e8.
+for sqrt(n) (E|U|^p - m_p) at n = 1e8.  Their integrand u^{p-1} g peaks near
+sqrt(p), so the quadrature runs to U(p) = max(16, sqrt(p) + 10), and p is
+refused where the bound 2p u^{p-1} on it leaves the float range on [0, U(p)]:
+above p = 220 for integers (check_moment_order).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +46,13 @@ __all__ = [
     "cond_cdf",
     "marginal_cdf",
     "exact_abs_moment",
+    "check_moment_order",
     "MOMENT_TOL",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 MOMENT_TOL = QuadratureConfig(1e-13, 1e-12)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -102,10 +108,27 @@ def marginal_cdf(u, params: IncrementLawParams):
     return float(out) if out.ndim == 0 else out
 
 
+def _upper_limit(p: float) -> float:
+    """U(p): past sqrt(p) + 10 the Gaussian tail of g leaves the integrand
+    below rounding; 16 up to p = 36."""
+    return max(16.0, math.sqrt(p) + 10.0)
+
+
+def check_moment_order(p) -> None:
+    """The orders exact_abs_moment accepts: finite p >= 1 with
+    log(2p) + (p - 1) log U(p) below log(float max), so that 2p u^{p-1}
+    stays finite on [0, U(p)]; for integers that is p <= 220."""
+    if not (1 <= p <= sys.float_info.max
+            and math.log(2.0 * p) + (p - 1.0) * math.log(_upper_limit(p)) < _LOG_FLOAT_MAX):
+        raise ValueError(f"exact_abs_moment requires a finite p >= 1 whose integrand "
+                         f"2p u^(p-1) stays in the float range on [0, U(p)] (p <= 220 "
+                         f"for integers), got {p!r}")
+
+
 def exact_abs_moment(p: float, params: IncrementLawParams) -> float:
-    """E|U|^p by adaptive quadrature of the exact tail integral, at MOMENT_TOL."""
-    if not (np.isfinite(p) and p >= 1):
-        raise ValueError(f"exact_abs_moment requires finite p >= 1, got {p}")
+    """E|U|^p by adaptive quadrature of the exact tail integral over [0, U(p)],
+    at MOMENT_TOL."""
+    check_moment_order(p)
     a = params.half_step
 
     def integrand(u):
@@ -113,6 +136,5 @@ def exact_abs_moment(p: float, params: IncrementLawParams) -> float:
         g = _tail_product(u, params)
         return 2.0 * p * u ** (p - 1.0) * g / (ndtr(u + a) + g)
 
-    # the tail of U is Gaussian-like: past 16 it is lost in rounding
-    res = adaptive_gauss_kronrod(integrand, 0.0, 16.0, MOMENT_TOL)
+    res = adaptive_gauss_kronrod(integrand, 0.0, _upper_limit(p), MOMENT_TOL)
     return float(res.value)

@@ -1,35 +1,27 @@
 """Monte Carlo experiment orchestration and statistical verification.
 
-``run_experiment(config)`` is the one entry point: it looks the experiment
-up in ``EXPERIMENTS``, times the run and builds the ExperimentReport.  Each
-experiment simulates a batch of independent replicates, folds the
-per-replicate statistics into aggregates in replicate-index order, and
-returns them with verdicts that each carry the measured value and the
-threshold it was judged against.
+``EXPERIMENTS`` is the one table keyed by experiment name.  An entry holds
+a prepare step (the experiment's own preconditions, and the dict of
+closed-form constants it reads), a row function (one replicate's
+statistics; None for moment_bias, which draws nothing) and a judge (the
+columns, in replicate-index order, to per_replicate, aggregate and
+verdicts, each verdict with its measured value and threshold).
 
-Replicate r draws from the private stream (master_seed, r), so reports are
-bit-reproducible for a fixed config and shuffling the execution order (or
-running under a process pool) cannot change any aggregate.  The worker
-count is capped by the MAXSTABLE_PV_THREADS environment variable
-(0 or unset = machine default).
+An ExperimentConfig runs the checks all experiments share, resolves H once
+into ``config.volatility`` (max2bm is the constant-1 case) and runs the
+prepare step once into ``config.constants``; neither is a field, so the
+report's config and hash stay as given.  A bad config, or a p that takes a
+constant past the float range, raises ValueError (CLI exit 2) before any
+replicate is drawn.
 
-An ExperimentConfig resolves H once, into ``config.volatility``: ``sigma``
-and a constant ``h_spec`` give the same spec, and max2bm is the constant-1
-case.  It checks every precondition of its experiment as well (frechet,
-marginal_increment and estimate_h need model br; marginal_increment and
-moment_bias need constant H), runs the library's own range checks on the
-order p, epsilon, halfwidth and the estimate_h window, and evaluates the
-closed-form constants its experiment reads (``_closed_form_constants``), so
-a bad config, or a p that takes one of them past the float range, raises
-ValueError (CLI exit 2) before any replicate is drawn.  The exact moments
-of marginal_increment and moment_bias are quadratures, run only by the
-experiment.
-
-A replicate whose atom budget runs out (TruncationError) is dropped by
-``_map_replicates`` alone, and every sampling experiment judges the rest and
-counts the dropped ones in its aggregate's ``truncated``; a run left with
-fewer than two completed replicates raises the first failure, which the CLI
-reports as a numerical failure (exit 3).
+``run_experiment(config)``, the one entry point, maps the row function over
+the replicates, judges the columns and times the run.  Replicate r draws
+from the private stream (master_seed, r), so reports are bit-reproducible
+for a fixed config at any worker count (MAXSTABLE_PV_THREADS, 0 or unset =
+machine default).  A replicate whose atom budget runs out (TruncationError)
+is dropped by ``_map_replicates`` and counted in the aggregate's
+``truncated``; a run left with fewer than two completed replicates raises
+the first failure (CLI exit 3).
 
 Stable convergence in law cannot be tested directly; its measurable
 consequences are: the conditional mean of the CLT limit is checked by
@@ -49,10 +41,12 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -121,6 +115,12 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("sigma", "epsilon", "halfwidth", "t_eval"):
+            value = getattr(self, name)
+            finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                      and -math.inf < value < math.inf)
+            if not (finite or name == "sigma" and value is None):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         gauss_kernels._check_order(self.p)
         if self.reps < 2:
             raise ValueError("reps must be >= 2")
@@ -132,37 +132,23 @@ class ExperimentConfig:
         if not 0.0 < self.t_eval <= 1.0:
             raise ValueError(f"t_eval must lie in (0, 1], got {self.t_eval}")
         spec = None if self.h_spec is None else VolatilitySpec.from_dict(self.h_spec)
-        vol = resolve_volatility(self.model, self.sigma, spec)
-        # an attribute, not a field: the report's config and hash stay as given
-        object.__setattr__(self, "volatility", vol)
-        if self.model != "br" and self.experiment in ("frechet", "marginal_increment",
-                                                      "estimate_h"):
-            raise ValueError(f"{self.experiment} requires model 'br'")
-        if vol.kind != "constant" and self.experiment in ("marginal_increment", "moment_bias"):
-            raise ValueError(f"{self.experiment} requires a constant volatility")
-        # the library's own range checks, so that they fail before the pool
+        # attributes, not fields: the report's config and hash stay as given
+        object.__setattr__(self, "volatility", resolve_volatility(self.model, self.sigma, spec))
         if self.model == "br":
             check_epsilon(self.epsilon)
             check_grid_size(self.n)
-        if self.experiment == "clt":
-            pv_stats.check_halfwidth(self.halfwidth, self.n, kept_atoms=self.model == "br")
-        if self.experiment == "estimate_h":
-            pv_stats.check_window(self.window, self.n)
-        self._check_constants()
-
-    def _check_constants(self) -> None:
-        """Evaluate the closed-form constants the experiment reads, through the
-        helpers it calls itself, so that one past the float range is refused
-        before any replicate is drawn."""
-        p, experiment = self.p, self.experiment
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                values = _closed_form_constants(self)
+                constants = EXPERIMENTS[self.experiment].prepare(self)
         except OverflowError as exc:
-            raise ValueError(f"p = {p} is too large for {experiment}: {exc}") from exc
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"p = {p} is too large for {experiment}: a constant "
+            raise ValueError(f"p = {self.p} is too large for {self.experiment}: {exc}") from exc
+        if not all(math.isfinite(v) for v in constants.values()):
+            raise ValueError(f"p = {self.p} is too large for {self.experiment}: a constant "
                              f"it reads at this volatility is past the float range")
+        if 0.0 in constants.values():
+            raise ValueError(f"{self.experiment} at p = {self.p} reads a constant that "
+                             f"underflows to 0 at this volatility")
+        object.__setattr__(self, "constants", constants)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -356,18 +342,22 @@ def _map_replicates(cfg: ExperimentConfig, fn) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: each returns (per_replicate, aggregate, verdicts)
+# experiments: a prepare step and a judge each (the row functions are above)
 # ---------------------------------------------------------------------------
 
-def _lln_target(cfg: ExperimentConfig) -> float:
-    """m_p * int_0^t H^p, the law-of-large-numbers limit of B(p)_t."""
-    return gauss_kernels.abs_moment(cfg.p) * cfg.volatility.integrated_power(cfg.p, cfg.t_eval)
+def _require(cfg: ExperimentConfig, br: bool = False, constant_h: bool = False) -> None:
+    if br and cfg.model != "br":
+        raise ValueError(f"{cfg.experiment} requires model 'br'")
+    if constant_h and cfg.volatility.kind != "constant":
+        raise ValueError(f"{cfg.experiment} requires a constant volatility")
 
 
-def _lln_target_and_allowance(cfg: ExperimentConfig):
+def _prepare_lln(cfg: ExperimentConfig) -> dict:
+    """The target m_p * int_0^t H^p and its allowance: the predicted
+    O(1/sqrt(n)) mean shift plus the deficit of the floor(nt) - 1 increments."""
     p, t, n = cfg.p, cfg.t_eval, cfg.n
     vol = cfg.volatility
-    target = _lln_target(cfg)
+    target = gauss_kernels.abs_moment(p) * vol.integrated_power(p, t)
     if cfg.model == "max2bm":
         bias = abs(pv_stats.lambda_phi_unit(p)) * math.sqrt(t / math.pi)
     else:
@@ -376,48 +366,48 @@ def _lln_target_and_allowance(cfg: ExperimentConfig):
         bias = abs(gauss_kernels.bias_integral(p)) * vol.integrated_power(p + 1, t)
     m = Grid(n).last_increment(t)
     floor_deficit = target * (n * t - (m - 1)) / (n * t)
-    return target, bias / math.sqrt(n) + floor_deficit
+    return {"target": target, "allowance": bias / math.sqrt(n) + floor_deficit,
+            "pv_scale": float(n) ** (p / 2.0 - 1.0)}
 
 
-def _lln(config: ExperimentConfig) -> tuple:
+def _lln(config: ExperimentConfig, cols: dict) -> tuple:
     """Replicate-mean of B(p)_t against its law-of-large-numbers target,
-    with a 3-sigma band plus the predicted O(1/sqrt(n)) mean shift."""
-    cols, truncated = _map_replicates(config, _row_lln)
+    with a 3-sigma band plus the allowance."""
     b = cols["B"]
     mean = float(b.mean())
     stderr = float(b.std(ddof=1) / math.sqrt(len(b)))
-    target, allowance = _lln_target_and_allowance(config)
+    target, allowance = config.constants["target"], config.constants["allowance"]
     gap = abs(mean - target)
     threshold = 3.0 * stderr + allowance
     aggregate = {
         "mean_B": mean, "stderr_B": stderr, "target": target,
-        "bias_allowance": allowance, "gap": gap, "truncated": truncated,
+        "bias_allowance": allowance, "gap": gap,
     }
     verdicts = [Verdict(f"lln_{config.model}_p{config.p}", gap, threshold)]
     return {"B": b.tolist()}, aggregate, verdicts
 
 
-def _clt_constants(cfg: ExperimentConfig):
+def _prepare_clt(cfg: ExperimentConfig) -> dict:
     """The LLN target, lambda(phi_{p,1}) (read by the max2bm slope and the br
     pair functional) and the conditional variance (m_2p - m_p^2) int H^{2p}."""
-    p = cfg.p
-    m2p = gauss_kernels.abs_moment(2 * p)
+    pv_stats.check_halfwidth(cfg.halfwidth, cfg.n, kept_atoms=cfg.model == "br")
+    p, t, vol = cfg.p, cfg.t_eval, cfg.volatility
     mp = gauss_kernels.abs_moment(p)
-    cond_var = (m2p - mp ** 2) * cfg.volatility.integrated_power(2 * p, cfg.t_eval)
-    return _lln_target(cfg), pv_stats.lambda_phi_unit(p), cond_var
+    cond_var = (gauss_kernels.abs_moment(2 * p) - mp ** 2) * vol.integrated_power(2 * p, t)
+    return {"target": mp * vol.integrated_power(p, t), "lambda_phi": pv_stats.lambda_phi_unit(p),
+            "cond_var": cond_var, "pv_scale": float(cfg.n) ** (p / 2.0 - 1.0)}
 
 
-def _clt(config: ExperimentConfig) -> tuple:
+def _clt(config: ExperimentConfig, cols: dict) -> tuple:
     """Central-limit diagnostics: regression of S = sqrt(n)(B - target) on the
     per-path bias estimate, residual variance, and Gaussianity of the
     standardized residuals."""
-    cols, truncated = _map_replicates(config, _row_clt)
-    target, lam1, cond_var = _clt_constants(config)
-    s = math.sqrt(config.n) * (cols["B"] - target)
+    cond_var = config.constants["cond_var"]
+    s = math.sqrt(config.n) * (cols["B"] - config.constants["target"])
     x = cols["x"]
     # the bias estimate is (lambda(phi_{p,1}) / 2) * local time for max2bm,
     # and the pair functional itself for br
-    slope_target = 0.5 * lam1 if config.model == "max2bm" else 1.0
+    slope_target = 0.5 * config.constants["lambda_phi"] if config.model == "max2bm" else 1.0
     bhat = slope_target * x
 
     design = np.column_stack([x, np.ones_like(x)])
@@ -434,7 +424,6 @@ def _clt(config: ExperimentConfig) -> tuple:
         "slope_target": float(slope_target), "r_squared": r_squared,
         "resid_var": resid_var, "resid_var_target": float(cond_var),
         "ks_std_resid": ks, "mean_S": float(s.mean()), "mean_bhat": float(bhat.mean()),
-        "truncated": truncated,
     }
     # the regression slope is pinned under constant volatility (max2bm
     # included), Gaussianity of residuals for max2bm only; the remaining
@@ -452,9 +441,14 @@ def _clt(config: ExperimentConfig) -> tuple:
     return per_rep, aggregate, verdicts
 
 
-def _marginal(config: ExperimentConfig) -> tuple:
+def _prepare_marginal(cfg: ExperimentConfig) -> dict:
+    _require(cfg, br=True, constant_h=True)
+    increment_law.check_moment_order(cfg.p)
+    return {}
+
+
+def _marginal(config: ExperimentConfig, cols: dict) -> tuple:
     """Pooled mid-path normalized increments against the exact marginal law."""
-    cols, truncated = _map_replicates(config, _row_marginal)
     u = cols["U"]
     params = increment_law.IncrementLawParams(config.volatility.sigma, config.n)
     ks = ks_statistic(u, lambda q: increment_law.marginal_cdf(q, params))
@@ -469,7 +463,7 @@ def _marginal(config: ExperimentConfig) -> tuple:
 
     aggregate = {
         "ks": ks, "pooled_abs_moment": pooled, "exact_abs_moment": exact,
-        "pooled_se": pooled_se, "frac_nonpositive": frac_neg, "truncated": truncated,
+        "pooled_se": pooled_se, "frac_nonpositive": frac_neg,
     }
     verdicts = [
         Verdict("marginal_ks", ks, ks_threshold),
@@ -479,10 +473,14 @@ def _marginal(config: ExperimentConfig) -> tuple:
     return {"U": u.tolist()}, aggregate, verdicts
 
 
-def _facts(config: ExperimentConfig) -> tuple:
+def _prepare_facts(cfg: ExperimentConfig) -> dict:
+    _require(cfg, br=True)
+    return {}
+
+
+def _facts(config: ExperimentConfig, cols: dict) -> tuple:
     """Frechet marginal, Gumbel log-marginal, k=5 max-stability, and two-time
     stationarity, each with its own verdict."""
-    cols, truncated = _map_replicates(config, _row_facts)
     log_eta_03 = cols["log_eta_03"]
     m = len(log_eta_03)                          # completed replicates
     eta_03 = np.exp(log_eta_03)
@@ -506,7 +504,7 @@ def _facts(config: ExperimentConfig) -> tuple:
     aggregate = {
         "ks_frechet": ks_frechet, "ks_gumbel": ks_gumbel,
         "ks_maxstability": ks_maxstab, "ks_stationarity": ks_station,
-        "p_eta_below_1": p_below, "truncated": truncated,
+        "p_eta_below_1": p_below,
     }
     verdicts = [
         Verdict("frechet_marginal", ks_frechet, one_sample),
@@ -520,13 +518,16 @@ def _facts(config: ExperimentConfig) -> tuple:
     return per_rep, aggregate, verdicts
 
 
-def _moment_bias_constants(cfg: ExperimentConfig):
+def _prepare_moment_bias(cfg: ExperimentConfig) -> dict:
     """The limit sigma * J_p of the scaled moment gap, and m_p."""
-    p = cfg.p
-    return cfg.volatility.sigma * gauss_kernels.bias_integral(p), gauss_kernels.abs_moment(p)
+    _require(cfg, constant_h=True)
+    constants = {"limit": cfg.volatility.sigma * gauss_kernels.bias_integral(cfg.p),
+                 "m_p": gauss_kernels.abs_moment(cfg.p)}
+    increment_law.check_moment_order(cfg.p)     # after J_p, so its overflow reports first
+    return constants
 
 
-def _moment_bias(config: ExperimentConfig) -> tuple:
+def _moment_bias(config: ExperimentConfig, cols=None) -> tuple:
     """Exact moments by quadrature: the scaled moment gap sqrt(n)(E|U|^p - m_p)
     along a ladder of n against its closed-form limit sigma * J_p.
 
@@ -537,7 +538,7 @@ def _moment_bias(config: ExperimentConfig) -> tuple:
     """
     p = config.p
     sigma = config.volatility.sigma
-    limit, mp = _moment_bias_constants(config)
+    limit, mp = config.constants["limit"], config.constants["m_p"]
     ladder = [10 ** k for k in range(2, 9)]
     gaps = []
     for n in ladder:
@@ -553,38 +554,35 @@ def _moment_bias(config: ExperimentConfig) -> tuple:
     return {}, aggregate, verdicts
 
 
-def _h_recovery(config: ExperimentConfig) -> tuple:
+def _prepare_h_recovery(cfg: ExperimentConfig) -> dict:
+    """m_p and the scale n^{p/2} that estimate_h applies to every path."""
+    _require(cfg, br=True)
+    pv_stats.check_window(cfg.window, cfg.n)
+    return {"m_p": gauss_kernels.abs_moment(cfg.p), "pv_scale": float(cfg.n) ** (cfg.p / 2.0)}
+
+
+def _h_recovery(config: ExperimentConfig, cols: dict) -> tuple:
     """Localized volatility recovery through the power-variation LLN."""
-    cols, truncated = _map_replicates(config, _row_h_recovery)
     mae = cols["mae"]
     mean_mae = float(mae.mean())
-    aggregate = {"mean_interior_mae": mean_mae, "truncated": truncated}
+    aggregate = {"mean_interior_mae": mean_mae}
     verdicts = [Verdict("h_recovery_mae", mean_mae, 0.1)]
     return {"mae": mae.tolist()}, aggregate, verdicts
 
 
-def _closed_form_constants(cfg: ExperimentConfig) -> tuple:
-    """What cfg's experiment reads in closed form: its own helpers' values,
-    and for the power-variation experiments the scale pv_stats applies to
-    every path's sum (n^{p/2-1}, and n^{p/2} with m_p in estimate_h)."""
-    if cfg.experiment == "lln":
-        return (*_lln_target_and_allowance(cfg), float(cfg.n) ** (cfg.p / 2.0 - 1.0))
-    if cfg.experiment == "clt":
-        return (*_clt_constants(cfg), float(cfg.n) ** (cfg.p / 2.0 - 1.0))
-    if cfg.experiment == "moment_bias":
-        return _moment_bias_constants(cfg)
-    if cfg.experiment == "estimate_h":
-        return gauss_kernels.abs_moment(cfg.p), float(cfg.n) ** (cfg.p / 2.0)
-    return ()
+class Experiment(NamedTuple):
+    prepare: Callable       # config -> the dict of closed-form constants it reads
+    row: Callable | None    # (config, index) -> that replicate's statistics
+    judge: Callable         # (config, columns) -> (per_replicate, aggregate, verdicts)
 
 
 EXPERIMENTS = {
-    "frechet": _facts,
-    "marginal_increment": _marginal,
-    "moment_bias": _moment_bias,
-    "lln": _lln,
-    "clt": _clt,
-    "estimate_h": _h_recovery,
+    "frechet": Experiment(_prepare_facts, _row_facts, _facts),
+    "marginal_increment": Experiment(_prepare_marginal, _row_marginal, _marginal),
+    "moment_bias": Experiment(_prepare_moment_bias, None, _moment_bias),
+    "lln": Experiment(_prepare_lln, _row_lln, _lln),
+    "clt": Experiment(_prepare_clt, _row_clt, _clt),
+    "estimate_h": Experiment(_prepare_h_recovery, _row_h_recovery, _h_recovery),
 }
 
 
@@ -592,7 +590,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the named experiment, timed, and build its report."""
     started = time.perf_counter()
     _resolve_workers()      # a bad MAXSTABLE_PV_THREADS fails every experiment alike
-    per_replicate, aggregate, verdicts = EXPERIMENTS[config.experiment](config)
+    experiment = EXPERIMENTS[config.experiment]
+    if experiment.row is None:
+        per_replicate, aggregate, verdicts = experiment.judge(config, None)
+    else:
+        columns, truncated = _map_replicates(config, experiment.row)
+        per_replicate, aggregate, verdicts = experiment.judge(config, columns)
+        aggregate["truncated"] = truncated
     return ExperimentReport(
         config=config.to_dict(),
         config_hash=config.config_hash(),

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,30 @@ def test_constant_overflow_exits_2(capsys):
     # before any quadrature runs
     assert run_cli("verify", "--experiment", "moment_bias", "--p", "400") == 2
     assert "p = 400 is too large for moment_bias" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tabulate-kernels", "--p", "10"], "only up to order p = 9"),
+    (["tabulate-kernels", "--p", "400"], "only up to order p = 9"),
+    (["tabulate-increment-law", "--sigma", "1.0", "--n", "64", "--p", "221"], "p <= 220"),
+    (["verify", "--experiment", "marginal_increment", "--p", "221"], "p <= 220"),
+    (["verify", "--experiment", "moment_bias", "--p", "221"], "p <= 220"),
+], ids=("kernels-p10", "kernels-p400", "increment-law-p221", "marginal-p221",
+        "moment_bias-p221"))
+def test_orders_past_the_quadratures_exit_2(argv, message, tmp_path, monkeypatch, capsys):
+    # refused with no warning, before any quadrature runs, replicate is
+    # drawn or output is written
+    def fail(*args, **kwargs):
+        pytest.fail("a quadrature ran or a replicate was drawn")
+    for module in (gauss_kernels, increment_law):
+        monkeypatch.setattr(module, "adaptive_gauss_kronrod", fail)
+    monkeypatch.setattr(mc_harness, "_map_replicates", fail)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(*argv, "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tabulate_kernels_roundtrip(tmp_path):

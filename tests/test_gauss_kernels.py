@@ -240,6 +240,34 @@ def test_bias_integral_domain():
             gk.bias_integral(big)
 
 
+def test_max_kernel_order_is_where_phi2_leaves_its_tolerance(monkeypatch):
+    # against a tail cutoff of 14, phi2 at w = 0, where the cutoff of 8 loses
+    # the most, meets KERNEL_TOL at the largest accepted order and misses it
+    # one order above
+    cutoffs = (gk._TAIL_CUTOFF, 14.0)
+
+    def loss(p):
+        values = []
+        for cutoff in cutoffs:
+            monkeypatch.setattr(gk, "_TAIL_CUTOFF", cutoff)
+            values.append(float(gk._phi_pointwise(p, 1.0, np.zeros(1), squared=True)[0]))
+        return abs(values[0] - values[1]) / TOL.tolerance(values[1])
+    assert loss(gk._MAX_KERNEL_ORDER) < 1.0 < loss(gk._MAX_KERNEL_ORDER + 1)
+
+
+def test_kernels_refuse_orders_past_their_tolerance(monkeypatch):
+    # every kernel entry point refuses the order before any quadrature runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+    monkeypatch.setattr(gk, "adaptive_gauss_kronrod", refuse)
+    calls = (lambda p: gk.phi_kernel(p, 1.0, 0.5), lambda p: gk.phi2_kernel(p, 1.0, 0.5),
+             lambda p: gk.lambda_integral(p, 1.0, "phi2"), lambda p: gk.tabulate_kernels(p, 1.0))
+    for call in calls:
+        for p in (gk._MAX_KERNEL_ORDER + 1, 400):
+            with pytest.raises(ValueError, match="only up to order p = 9"):
+                call(p)
+
+
 # ---------------------------------------------------------------------------
 # kernel table
 # ---------------------------------------------------------------------------

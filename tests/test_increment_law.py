@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from maxstable_pv import gauss_kernels as gk
+from maxstable_pv import increment_law
 from maxstable_pv.increment_law import (
     IncrementLawParams,
     cond_cdf,
@@ -132,3 +133,26 @@ def test_large_sigma_over_sqrt_n_is_quiet(n):
             assert np.all(np.diff(cdf) >= -1e-12)
         for p in (1, 2):
             assert math.isfinite(exact_abs_moment(p, params))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [*range(1, 9), 100, 150, 200])
+def test_exact_abs_moment_gap_meets_its_limit_at_large_p(p):
+    # the integrand u^{p-1} g peaks near sqrt(p), past the limit 16 the
+    # quadrature used to stop at; at n = 1e8 the scaled gap is J_p to about
+    # 4e-4 up to p = 220
+    gap = 1e4 * (exact_abs_moment(p, IncrementLawParams(1.0, 10 ** 8)) - gk.abs_moment(p))
+    assert abs(gap / gk.bias_integral(p) - 1.0) < 1e-3
+
+
+def test_exact_abs_moment_refuses_orders_past_the_float_range(monkeypatch):
+    # 2p u^{p-1} leaves the float range on [0, sqrt(p) + 10] from p = 221;
+    # the order is refused before any quadrature runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+    monkeypatch.setattr(increment_law, "adaptive_gauss_kronrod", refuse)
+    params = IncrementLawParams(1.0, 64)
+    for p in (221, 220.6, 400, 10 ** 400, 0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="p <= 220 for integers"):
+            exact_abs_moment(p, params)
+    increment_law.check_moment_order(220)

@@ -635,27 +635,37 @@ def test_bridge_fill_law(vol):
 _HR_PAIRS = ((102, 103), (127, 128), (128, 129), (128, 144), (64, 192), (0, 256))
 
 
+def _madogram_z(d, theta):
+    """(theta_hat - theta) / SE from the per-path madogram terms ``d``: the
+    F-madogram nu = mean(d) estimates theta as (1 + 2 nu) / (1 - 2 nu)
+    (Cooley, Naveau & Poncet 2006), and the delta method gives the SE."""
+    nu = d.mean()
+    theta_hat = (1.0 + 2.0 * nu) / (1.0 - 2.0 * nu)
+    se = 4.0 / (1.0 - 2.0 * nu) ** 2 * d.std(ddof=1) / math.sqrt(len(d))
+    return float((theta_hat - theta) / se)
+
+
 def _husler_reiss_z(vol, paths, seed):
     """(theta_hat - theta) / SE for each of _HR_PAIRS over ``paths`` sampled
-    paths at n = 256.  (eta_s, eta_t) is Husler-Reiss with extremal
-    coefficient theta = 2 Phi(a/2), a^2 = int_s^t H^2 (Husler & Reiss 1989;
-    Kabluchko, Schlather & de Haan 2009); the F-madogram
-    nu = E|F(eta_s) - F(eta_t)| / 2, F(z) = exp(-1/z), estimates it as
-    (1 + 2 nu) / (1 - 2 nu) (Cooley, Naveau & Poncet 2006), and the delta
-    method gives the standard error from the sample."""
+    paths at n = 256, and at constant H for the 16 coarse segments of each
+    path pooled.  (eta_s, eta_t) is Husler-Reiss with extremal coefficient
+    theta = 2 Phi(a/2), a^2 = int_s^t H^2 (Husler & Reiss 1989; Kabluchko,
+    Schlather & de Haan 2009), estimated by the F-madogram with
+    F(z) = exp(-1/z)."""
     grid = Grid(256)
     log_eta = np.array([sample_brown_resnick(vol, grid, replicate_rng(seed, r), 1e-3)
                         .log_eta.values for r in range(paths)])
     f = np.exp(-np.exp(-log_eta))       # F(eta), uniform on (0, 1)
     var = vol.integrated_power(2, grid.times)
-    z = []
-    for i, j in _HR_PAIRS:
-        d = 0.5 * np.abs(f[:, i] - f[:, j])
-        nu = d.mean()
-        theta_hat = (1.0 + 2.0 * nu) / (1.0 - 2.0 * nu)
-        se = 4.0 / (1.0 - 2.0 * nu) ** 2 * d.std(ddof=1) / math.sqrt(paths)
-        theta = 2.0 * ndtr(math.sqrt(var[j] - var[i]) / 2.0)
-        z.append(float((theta_hat - theta) / se))
+    z = [_madogram_z(0.5 * np.abs(f[:, i] - f[:, j]),
+                     2.0 * ndtr(math.sqrt(var[j] - var[i]) / 2.0))
+         for i, j in _HR_PAIRS]
+    if vol.kind == "constant":
+        # every coarse segment has a^2 = sigma^2 / 16: one madogram over all
+        # 16 of a path, its SE from the per-path means, so the pairs'
+        # correlation within a path is accounted for
+        d = 0.5 * np.abs(np.diff(f[:, ::16], axis=1)).mean(axis=1)
+        z.append(_madogram_z(d, 2.0 * ndtr(vol.sigma / 8.0)))
     return z
 
 
@@ -671,7 +681,7 @@ def test_br_joint_law_is_husler_reiss(vol, paths):
     # fill in the wrong clock or a lost maximizing atom would break; the
     # refine-all oracle shares the lattice and fill, so it cannot
     z = _husler_reiss_z(vol, paths, seed=7)
-    assert max(abs(x) for x in z) < 4.0, dict(zip(_HR_PAIRS, z))
+    assert max(abs(x) for x in z) < 4.0, dict(zip((*_HR_PAIRS, "pooled"), z))
 
 
 # margins of 1 (the ids without a suffix), of the sampler on this 50-point
