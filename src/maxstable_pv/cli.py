@@ -4,7 +4,7 @@ Subcommands: tabulate-kernels, tabulate-increment-law, simulate, powervar,
 estimate-h, verify.  Flag values override config-file values, which override
 defaults.  Exit codes: 0 success (all verdicts passing), 1 failing verdict,
 2 usage/config error, 3 numerical failure (quadrature tolerance, atom
-budget, or a constant past the float range).  Results go to stdout or
+budget, or a constant or statistic past the float range).  Results go to stdout or
 --out; diagnostics to stderr.
 
 CSV numbers are written with repr(), the shortest decimal string that
@@ -24,17 +24,7 @@ import sys
 import numpy as np
 
 from . import gauss_kernels, increment_law, mc_harness, pv_stats
-from .path_sim import (
-    Grid,
-    GridPath,
-    TruncationError,
-    VolatilitySpec,
-    check_epsilon,
-    check_grid_size,
-    replicate_rng,
-    sample_brown_resnick,
-    sample_max_two_bm,
-)
+from .path_sim import Grid, GridPath, TruncationError, VolatilitySpec
 from .quadrature import QuadratureError
 
 EXIT_OK = 0
@@ -104,31 +94,20 @@ def _cmd_tabulate_increment_law(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.reps < 1:
         raise ValueError(f"reps must be >= 1, got {args.reps}")
-    if args.seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
+    if args.master_seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {args.master_seed}")
     grid = Grid(args.n)
-    vol = mc_harness.resolve_volatility(
-        args.model, args.sigma, _load_h_spec(args.h_spec) if args.h_spec else None)
-    if args.model == "br":
-        check_epsilon(args.epsilon)
-        check_grid_size(args.n)
+    args.volatility = mc_harness.resolve_volatility(
+        args.model, args.sigma, _load_h_spec(args.h_spec) if args.h_spec else None,
+        args.n, args.epsilon)
     with _output(args.out) as fh:
         writer = csv.writer(fh)
-        if args.model == "br":
-            writer.writerow(["replicate", "i", "t", "value", "argmax_atom"])
-            for r in range(args.reps):
-                rng = replicate_rng(args.seed, r)
-                ms = sample_brown_resnick(vol, grid, rng, args.epsilon)
-                for i, (t, v, a) in enumerate(zip(grid.times, ms.log_eta.values,
-                                                  ms.argmax_index)):
-                    writer.writerow([r, i, repr(float(t)), repr(float(v)), int(a)])
-        else:
-            writer.writerow(["replicate", "i", "t", "value"])
-            for r in range(args.reps):
-                rng = replicate_rng(args.seed, r)
-                mx, _ = sample_max_two_bm(grid, rng)
-                for i, (t, v) in enumerate(zip(grid.times, mx.values)):
-                    writer.writerow([r, i, repr(float(t)), repr(float(v))])
+        writer.writerow(["replicate", "i", "t", "value", "argmax_atom"])
+        for r in range(args.reps):
+            ms = mc_harness._simulate(args, r)
+            for i, (t, v, a) in enumerate(zip(grid.times, ms.log_eta.values,
+                                              ms.argmax_index)):
+                writer.writerow([r, i, repr(float(t)), repr(float(v)), int(a)])
     return EXIT_OK
 
 
@@ -227,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--model", choices=["max2bm", "br"], required=True)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--reps", type=int, default=1)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", dest="master_seed", type=int, default=0)
     s.add_argument("--sigma", type=float, default=None, help="constant H (default 1)")
     s.add_argument("--h-spec", default=None, help="CSV of (s, H_s) knots")
     s.add_argument("--epsilon", type=float, default=1e-3)

@@ -10,12 +10,14 @@ verdicts, each verdict with its measured value and threshold).
 An ExperimentConfig runs the checks all experiments share, resolves H once
 into ``config.volatility`` (max2bm is the constant-1 case) and runs the
 prepare step once into ``config.constants``; neither is a field, so the
-report's config and hash stay as given.  A bad config, or a p that takes a
-constant past the float range, raises ValueError (CLI exit 2) before any
-replicate is drawn.
+report's config and hash stay as given.  ``resolve_volatility`` is also the
+boundary check simulate shares: epsilon and the grid cap, for either model.
+A bad config, or a p that takes a constant past the float range, raises
+ValueError (CLI exit 2) before any replicate is drawn.
 
 ``run_experiment(config)``, the one entry point, maps the row function over
-the replicates, judges the columns and times the run.  Replicate r draws
+the replicates, judges the columns and times the run.  ``_simulate`` draws
+either model as a MaxStablePath (max2bm: two atoms).  Replicate r draws
 from the private stream (master_seed, r), so reports are bit-reproducible
 for a fixed config at any worker count (MAXSTABLE_PV_THREADS, 0 or unset =
 machine default).  A replicate whose atom budget runs out (TruncationError)
@@ -25,8 +27,8 @@ the first failure (CLI exit 3).
 
 Stable convergence in law cannot be tested directly; its measurable
 consequences are: the conditional mean of the CLT limit is checked by
-regressing the scaled power-variation discrepancy on the per-path bias
-estimate, the conditional variance by the residual variance, and the
+regressing the scaled power-variation discrepancy on the pair bias
+functional, the conditional variance by the residual variance, and the
 conditional Gaussianity by a KS test on standardized residuals.  LLN
 verdicts allow an explicit O(1/sqrt(n)) mean shift because the CLTs show
 the mean of B sits off its limit at exactly that order.
@@ -76,18 +78,31 @@ __all__ = [
 ]
 
 
-def resolve_volatility(model: str, sigma: float | None,
-                       h_spec: VolatilitySpec | None) -> VolatilitySpec:
-    """max2bm has unit volatility: no H spec, and sigma 1 or None.  br takes
-    sigma or an H spec, not both; sigma None without a spec means 1."""
+def resolve_volatility(model: str, sigma: float | None, h_spec: VolatilitySpec | None,
+                       n: int, epsilon: float) -> VolatilitySpec:
+    """Epsilon in (0, 0.01] and n under the grid cap, for either model; then
+    H.  max2bm has unit volatility: no H spec, and sigma 1 or None.  br takes
+    sigma or an H spec, not both; sigma None without a spec means 1.  Every
+    grid step's variance int H^2 must be a positive finite float, or the
+    sampler's steps and bridges divide by 0 or inf."""
+    check_epsilon(epsilon)
+    check_grid_size(n)
     if model == "max2bm" and (h_spec is not None or sigma not in (None, 1.0)):
         raise ValueError("model 'max2bm' has unit volatility: give no h_spec and "
                          f"sigma 1 or null, got sigma={sigma!r}")
-    if h_spec is None:
-        return VolatilitySpec.constant(1.0 if sigma is None else sigma)
-    if sigma is not None:
+    if sigma is not None and h_spec is not None:
         raise ValueError("model 'br' takes one of sigma / h_spec, not both")
-    return h_spec
+    vol = h_spec if h_spec is not None else VolatilitySpec.constant(
+        1.0 if sigma is None else sigma)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            step_var = np.diff(vol.integrated_power(2, Grid(n).times))
+    except OverflowError:       # sigma ** 2 of a Python float
+        step_var = np.array([math.inf])
+    if not np.all((step_var > 0.0) & (step_var < math.inf)):
+        raise ValueError(f"the volatility's variance int H^2 over a grid step of 1/{n} "
+                         f"underflows to 0 or overflows; H must stay in the float range")
+    return vol
 
 
 @dataclass(frozen=True)
@@ -133,10 +148,8 @@ class ExperimentConfig:
             raise ValueError(f"t_eval must lie in (0, 1], got {self.t_eval}")
         spec = None if self.h_spec is None else VolatilitySpec.from_dict(self.h_spec)
         # attributes, not fields: the report's config and hash stay as given
-        object.__setattr__(self, "volatility", resolve_volatility(self.model, self.sigma, spec))
-        if self.model == "br":
-            check_epsilon(self.epsilon)
-            check_grid_size(self.n)
+        object.__setattr__(self, "volatility", resolve_volatility(
+            self.model, self.sigma, spec, self.n, self.epsilon))
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 constants = EXPERIMENTS[self.experiment].prepare(self)
@@ -252,34 +265,28 @@ def _resolve_workers() -> int:
     return workers or os.cpu_count() or 1
 
 
-def _simulate_br(cfg: ExperimentConfig, index: int) -> MaxStablePath:
+def _simulate(cfg, index: int) -> MaxStablePath:
+    """Path ``index`` of ``cfg.model`` from the stream (master_seed, index);
+    ``cfg`` needs only model, volatility, n, epsilon and master_seed."""
     rng = replicate_rng(cfg.master_seed, index)
+    if cfg.model == "max2bm":
+        return sample_max_two_bm(Grid(cfg.n), rng)
     return sample_brown_resnick(cfg.volatility, Grid(cfg.n), rng, cfg.epsilon)
 
 
 def _row_lln(cfg: ExperimentConfig, index: int) -> dict:
-    if cfg.model == "max2bm":
-        path, _ = sample_max_two_bm(Grid(cfg.n), replicate_rng(cfg.master_seed, index))
-    else:
-        path = _simulate_br(cfg, index).log_eta
-    return {"B": pv_stats.power_variation(path, cfg.p, cfg.t_eval)}
+    return {"B": pv_stats.power_variation(_simulate(cfg, index).log_eta, cfg.p, cfg.t_eval)}
 
 
 def _row_clt(cfg: ExperimentConfig, index: int) -> dict:
-    """B and the bias regressor x: for max2bm the kernel local time of
-    W2 - W1, for br the pair bias functional."""
-    if cfg.model == "max2bm":
-        path, diff = sample_max_two_bm(Grid(cfg.n), replicate_rng(cfg.master_seed, index))
-        x = pv_stats.local_time_kernel(diff, cfg.t_eval, cfg.halfwidth)
-    else:
-        ms = _simulate_br(cfg, index)
-        path = ms.log_eta
-        x = pv_stats.clt_bias_functional(ms, cfg.p, cfg.t_eval, cfg.halfwidth)
-    return {"B": pv_stats.power_variation(path, cfg.p, cfg.t_eval), "x": x}
+    """B and the bias regressor x, the pair bias functional."""
+    ms = _simulate(cfg, index)
+    return {"B": pv_stats.power_variation(ms.log_eta, cfg.p, cfg.t_eval),
+            "x": pv_stats.clt_bias_functional(ms, cfg.p, cfg.t_eval, cfg.halfwidth)}
 
 
 def _row_marginal(cfg: ExperimentConfig, index: int) -> dict:
-    ms = _simulate_br(cfg, index)
+    ms = _simulate(cfg, index)
     i0 = cfg.n // 2
     du = ms.log_eta.values[i0] - ms.log_eta.values[i0 - 1]
     return {"U": math.sqrt(cfg.n) / cfg.volatility.sigma * du}
@@ -288,7 +295,7 @@ def _row_marginal(cfg: ExperimentConfig, index: int) -> dict:
 def _row_facts(cfg: ExperimentConfig, index: int) -> dict:
     """Path ``index``'s marginal picks, plus the k=5 group maximum over the
     fresh paths reps + 5 * index + j, j = 0..4."""
-    ms = _simulate_br(cfg, index)
+    ms = _simulate(cfg, index)
     g = ms.grid
     vals = ms.log_eta.values
     picks = {f"log_eta_{tag}": float(vals[g.last_increment(t)])
@@ -297,13 +304,13 @@ def _row_facts(cfg: ExperimentConfig, index: int) -> dict:
     picks["eta_07"] = float(math.exp(vals[i7]))
     best = -math.inf
     for j in range(5):
-        best = max(best, _simulate_br(cfg, cfg.reps + 5 * index + j).log_eta.values[i7])
+        best = max(best, _simulate(cfg, cfg.reps + 5 * index + j).log_eta.values[i7])
     picks["eta_07_kmax"] = math.exp(best) / 5.0
     return picks
 
 
 def _row_h_recovery(cfg: ExperimentConfig, index: int) -> dict:
-    ms = _simulate_br(cfg, index)
+    ms = _simulate(cfg, index)
     h_hat = pv_stats.estimate_h(ms.log_eta, cfg.p, cfg.window)
     interior = pv_stats.full_window_slice(cfg.n, cfg.window)
     truth = cfg.volatility.value(ms.grid.times[interior])
@@ -388,27 +395,32 @@ def _lln(config: ExperimentConfig, cols: dict) -> tuple:
 
 
 def _prepare_clt(cfg: ExperimentConfig) -> dict:
-    """The LLN target, lambda(phi_{p,1}) (read by the max2bm slope and the br
-    pair functional) and the conditional variance (m_2p - m_p^2) int H^{2p}."""
-    pv_stats.check_halfwidth(cfg.halfwidth, cfg.n, kept_atoms=cfg.model == "br")
+    """The LLN target and the conditional variance (m_2p - m_p^2) int H^{2p};
+    the pair functional's halfwidth stays below 4 for either model."""
+    pv_stats.check_halfwidth(cfg.halfwidth, cfg.n, kept_atoms=True)
     p, t, vol = cfg.p, cfg.t_eval, cfg.volatility
+    if Grid(cfg.n).last_increment(t) < 2:
+        # B sums floor(nt) - 1 increments: none leaves S constant, and the
+        # regression nothing to explain
+        raise ValueError(f"clt needs an increment before t_eval: floor(n t_eval) must be "
+                         f"at least 2, got n = {cfg.n}, t_eval = {t}")
     mp = gauss_kernels.abs_moment(p)
     cond_var = (gauss_kernels.abs_moment(2 * p) - mp ** 2) * vol.integrated_power(2 * p, t)
-    return {"target": mp * vol.integrated_power(p, t), "lambda_phi": pv_stats.lambda_phi_unit(p),
-            "cond_var": cond_var, "pv_scale": float(cfg.n) ** (p / 2.0 - 1.0)}
+    return {"target": mp * vol.integrated_power(p, t), "cond_var": cond_var,
+            "pv_scale": float(cfg.n) ** (p / 2.0 - 1.0)}
+
+
+# per model: the clt slope band about 1, and whether residuals get a KS verdict
+_CLT_VERDICT_POLICY = {"max2bm": (0.10, True), "br": (0.15, False)}
 
 
 def _clt(config: ExperimentConfig, cols: dict) -> tuple:
     """Central-limit diagnostics: regression of S = sqrt(n)(B - target) on the
-    per-path bias estimate, residual variance, and Gaussianity of the
-    standardized residuals."""
+    per-path bias estimate (the pair functional x, slope 1), residual
+    variance, and Gaussianity of the standardized residuals."""
     cond_var = config.constants["cond_var"]
     s = math.sqrt(config.n) * (cols["B"] - config.constants["target"])
-    x = cols["x"]
-    # the bias estimate is (lambda(phi_{p,1}) / 2) * local time for max2bm,
-    # and the pair functional itself for br
-    slope_target = 0.5 * config.constants["lambda_phi"] if config.model == "max2bm" else 1.0
-    bhat = slope_target * x
+    x = bhat = cols["x"]
 
     design = np.column_stack([x, np.ones_like(x)])
     (slope, intercept), *_ = np.linalg.lstsq(design, s, rcond=None)
@@ -421,21 +433,21 @@ def _clt(config: ExperimentConfig, cols: dict) -> tuple:
 
     aggregate = {
         "slope": float(slope), "intercept": float(intercept),
-        "slope_target": float(slope_target), "r_squared": r_squared,
+        "slope_target": 1.0, "r_squared": r_squared,
         "resid_var": resid_var, "resid_var_target": float(cond_var),
         "ks_std_resid": ks, "mean_S": float(s.mean()), "mean_bhat": float(bhat.mean()),
     }
     # the regression slope is pinned under constant volatility (max2bm
     # included), Gaussianity of residuals for max2bm only; the remaining
     # diagnostics stay in the aggregate
-    slope_tol = 0.10 if config.model == "max2bm" else 0.15
+    slope_tol, judge_ks = _CLT_VERDICT_POLICY[config.model]
     verdicts = [
         Verdict(f"clt_{config.model}_resid_var", abs(resid_var - cond_var), 0.10 * cond_var),
     ]
     if config.volatility.kind == "constant":
-        verdicts.insert(0, Verdict(f"clt_{config.model}_slope", abs(float(slope) - slope_target),
-                                   slope_tol * abs(slope_target)))
-    if config.model == "max2bm":
+        verdicts.insert(0, Verdict(f"clt_{config.model}_slope", abs(float(slope) - 1.0),
+                                   slope_tol))
+    if judge_ks:
         verdicts.append(Verdict(f"clt_{config.model}_ks", ks, 1.36 / math.sqrt(len(s))))
     per_rep = {"S": s.tolist(), "x": x.tolist(), "bhat": bhat.tolist()}
     return per_rep, aggregate, verdicts
@@ -518,13 +530,26 @@ def _facts(config: ExperimentConfig, cols: dict) -> tuple:
     return per_rep, aggregate, verdicts
 
 
+# the grid sizes n at which moment_bias takes the scaled moment gap; the
+# verdict reads the last
+_MOMENT_BIAS_LADDER = tuple(10 ** k for k in range(2, 9))
+
+
 def _prepare_moment_bias(cfg: ExperimentConfig) -> dict:
-    """The limit sigma * J_p of the scaled moment gap, and m_p."""
+    """The limit sigma * J_p of the scaled moment gap, and m_p.  Refuses a
+    sigma so small that the error MOMENT_TOL allows E|U|^p, scaled by
+    sqrt(n) at the top of the ladder, reaches the verdict's 1% band of the
+    limit: below that the verdict would judge round-off."""
     _require(cfg, constant_h=True)
-    constants = {"limit": cfg.volatility.sigma * gauss_kernels.bias_integral(cfg.p),
-                 "m_p": gauss_kernels.abs_moment(cfg.p)}
+    limit = cfg.volatility.sigma * gauss_kernels.bias_integral(cfg.p)
+    mp = gauss_kernels.abs_moment(cfg.p)
     increment_law.check_moment_order(cfg.p)     # after J_p, so its overflow reports first
-    return constants
+    resolution = math.sqrt(_MOMENT_BIAS_LADDER[-1]) * increment_law.MOMENT_TOL.tolerance(mp)
+    if not resolution < 0.01 * abs(limit):
+        raise ValueError(f"moment_bias cannot resolve sigma = {cfg.volatility.sigma!r} at "
+                         f"p = {cfg.p}: the limit sigma * J_p = {limit:.3g} lies within 100 x "
+                         f"the quadrature's scaled error bound {resolution:.3g}")
+    return {"limit": limit, "m_p": mp}
 
 
 def _moment_bias(config: ExperimentConfig, cols=None) -> tuple:
@@ -539,16 +564,15 @@ def _moment_bias(config: ExperimentConfig, cols=None) -> tuple:
     p = config.p
     sigma = config.volatility.sigma
     limit, mp = config.constants["limit"], config.constants["m_p"]
-    ladder = [10 ** k for k in range(2, 9)]
     gaps = []
-    for n in ladder:
+    for n in _MOMENT_BIAS_LADDER:
         params = increment_law.IncrementLawParams(sigma, n)
         moment = increment_law.exact_abs_moment(p, params)
         gaps.append(math.sqrt(n) * (moment - mp))
     rel_gap = abs(gaps[-1] - limit) / abs(limit)
     aggregate = {
-        "n_ladder": ladder, "scaled_gaps": gaps, "bias_integral_limit": limit,
-        "rel_gap_at_1e8": rel_gap,
+        "n_ladder": list(_MOMENT_BIAS_LADDER), "scaled_gaps": gaps,
+        "bias_integral_limit": limit, "rel_gap_at_1e8": rel_gap,
     }
     verdicts = [Verdict(f"moment_bias_p{p}", rel_gap, 0.01)]
     return {}, aggregate, verdicts
@@ -587,17 +611,19 @@ EXPERIMENTS = {
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run the named experiment, timed, and build its report."""
+    """Run the named experiment, timed, and build its report.  A statistic
+    past the float range (inf or NaN) is a numerical failure, OverflowError
+    (CLI exit 3), never a report that is not strict JSON."""
     started = time.perf_counter()
     _resolve_workers()      # a bad MAXSTABLE_PV_THREADS fails every experiment alike
     experiment = EXPERIMENTS[config.experiment]
-    if experiment.row is None:
-        per_replicate, aggregate, verdicts = experiment.judge(config, None)
-    else:
-        columns, truncated = _map_replicates(config, experiment.row)
+    columns, truncated = (None, None) if experiment.row is None else _map_replicates(
+        config, experiment.row)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         per_replicate, aggregate, verdicts = experiment.judge(config, columns)
+    if truncated is not None:
         aggregate["truncated"] = truncated
-    return ExperimentReport(
+    report = ExperimentReport(
         config=config.to_dict(),
         config_hash=config.config_hash(),
         per_replicate=per_replicate,
@@ -605,3 +631,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         verdicts=verdicts,
         wall_time=time.perf_counter() - started,
     )
+    try:
+        json.dumps(report.to_dict(), allow_nan=False)
+    except ValueError as exc:
+        raise OverflowError(f"{config.experiment}: a statistic of the run is past the float "
+                            f"range") from exc
+    return report

@@ -45,6 +45,7 @@ MAX_HALFWIDTH = 4, so every atom it can read is kept, and log eta needs only
 the atoms that reach the maximum.  The kept atoms are stored as two arrays,
 their log weights ``log_r`` and their Z paths ``z``, the one form the pair
 functional reads.
+``sample_max_two_bm`` returns the same type: two atoms with log R = 0.
 """
 
 from __future__ import annotations
@@ -266,14 +267,19 @@ def sample_brownian(grid: Grid, rng_stream) -> GridPath:
     return GridPath(grid, vals)
 
 
-def sample_max_two_bm(grid: Grid, rng_stream):
-    """Pointwise maximum of two independent Brownian motions plus their
-    difference W2 - W1 (the local-time coordinate for the bias term)."""
-    w1 = sample_brownian(grid, rng_stream)
-    w2 = sample_brownian(grid, rng_stream)
-    mx = GridPath(grid, np.maximum(w1.values, w2.values))
-    diff = GridPath(grid, w2.values - w1.values)
-    return mx, diff
+def sample_max_two_bm(grid: Grid, rng_stream) -> MaxStablePath:
+    """Pointwise maximum of two independent Brownian motions as a two-atom
+    MaxStablePath: z = (W1, W2), log R = 0, H = 1, log eta = max(W1, W2)
+    with no drift, and exact diagnostics."""
+    w1 = sample_brownian(grid, rng_stream).values
+    w2 = sample_brownian(grid, rng_stream).values
+    return MaxStablePath(
+        log_eta=GridPath(grid, np.maximum(w1, w2)),
+        log_r=np.zeros(2),
+        z=np.stack([w1, w2]),
+        truncation_diag=TruncationDiagnostics(2, math.inf, 0.0, 2),
+        vol=VolatilitySpec.constant(1.0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +344,8 @@ def check_epsilon(epsilon: float) -> None:
 
 
 def check_grid_size(n: int) -> None:
-    """A block whose 64 atoms are all refined must fit in _MAX_BLOCK_BYTES."""
+    """A block whose 64 atoms are all refined must fit in _MAX_BLOCK_BYTES;
+    the grid cap of both models."""
     block_bytes = 2 * _BLOCK_SIZE * (n + 1) * 8
     if block_bytes > _MAX_BLOCK_BYTES:
         raise ValueError(f"n={n} needs {block_bytes} bytes for one fully kept block, above "

@@ -12,13 +12,14 @@ exact integral 2h, and the discrete Tanaka residual
 |X| - |X_0| - sum sign(X) dX.  Both converge to L^0 for continuous
 martingales; their per-path disagreement is itself a diagnostic.
 
-The pair bias functional accumulates, over every retained atom pair (j, k),
-the kernel local-time increments of Z_k - Z_j weighted by
-lambda(phi_{p, H_s}) / (2 H_s^2) and restricted to the steps where the pair
-tops every other atom.  lambda(phi_{p,sigma}) = sigma^{p+1} lambda(phi_{p,1})
-exactly (change of variables in the defining double integral), so a single
-unit-sigma constant serves every step weight, and lambda(phi_{p,1}) = 2 J_p,
-twice the moment-bias constant, so that constant is exact.
+The pair bias functional, the CLT bias regressor of both models, accumulates,
+over every retained atom pair (j, k), the kernel local-time increments of
+Z_k - Z_j weighted by lambda(phi_{p, H_s}) / (2 H_s^2) and restricted to the
+steps where the pair tops every other atom (for max2bm: the pair W1, W2).
+lambda(phi_{p,sigma}) = sigma^{p+1} lambda(phi_{p,1}) exactly (change of
+variables in the defining double integral), so a single unit-sigma constant
+serves every step weight, and lambda(phi_{p,1}) = 2 J_p, twice the
+moment-bias constant, so that constant is exact.
 
 At most one pair can lie strictly above every other atom at a step: the
 top two, when the second value v2 exceeds the third v3.  So with the step's

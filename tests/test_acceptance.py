@@ -25,6 +25,7 @@ from maxstable_pv import pv_stats
 from maxstable_pv.increment_law import IncrementLawParams, exact_abs_moment, marginal_cdf
 from maxstable_pv.path_sim import (
     Grid,
+    GridPath,
     VolatilitySpec,
     replicate_rng,
     sample_brown_resnick,
@@ -179,7 +180,8 @@ def test_criterion_06_clt_suite():
 
 
 def _criterion_07_row(cfg, r):
-    _, diff = sample_max_two_bm(Grid(cfg.n), replicate_rng(cfg.master_seed, r))
+    w1, w2 = sample_max_two_bm(Grid(cfg.n), replicate_rng(cfg.master_seed, r)).z
+    diff = GridPath(Grid(cfg.n), w2 - w1)
     return {"kernel": pv_stats.local_time_kernel(diff, 1.0, 2.0),
             "tanaka": pv_stats.local_time_tanaka(diff, 1.0)}
 

@@ -1,10 +1,16 @@
 import json
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_mc_harness import _EDGE_VALUES, _reject_constant
 
 from maxstable_pv import cli, gauss_kernels, increment_law, mc_harness, pv_stats
 from maxstable_pv.path_sim import (
@@ -93,6 +99,26 @@ def test_orders_past_the_quadratures_exit_2(argv, message, tmp_path, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("p", (1, 2))
+def test_moment_bias_below_its_resolution_exits_2(p, tmp_path, monkeypatch, capsys):
+    # at sigma = 1e-8 the limit sigma * J_p is within 100x of the error
+    # MOMENT_TOL allows the scaled gap at n = 1e8, so the verdict would judge
+    # round-off: refused before any quadrature, while sigma = 1e-4 passes
+    real = increment_law.adaptive_gauss_kronrod
+
+    def fail(*args, **kwargs):
+        pytest.fail("a quadrature ran")
+    monkeypatch.setattr(increment_law, "adaptive_gauss_kronrod", fail)
+    out = tmp_path / "report.json"
+    argv = ["verify", "--experiment", "moment_bias", "--p", str(p), "--out", str(out)]
+    assert run_cli(*argv, "--sigma", "1e-8") == 2
+    assert "moment_bias cannot resolve sigma = 1e-08" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.setattr(increment_law, "adaptive_gauss_kronrod", real)
+    assert run_cli(*argv, "--sigma", "1e-4") == 0
+    assert json.loads(out.read_text())["aggregate"]["rel_gap_at_1e8"] < 0.01
+
+
 def test_tabulate_kernels_roundtrip(tmp_path):
     out = tmp_path / "k.csv"
     assert run_cli("tabulate-kernels", "--p", "2", "--sigma", "1.0",
@@ -154,15 +180,18 @@ def test_simulate_max2bm(tmp_path):
     assert run_cli(*args, "--out", str(out2)) == 0
     assert out1.read_bytes() == out2.read_bytes()
     lines = out1.read_text().splitlines()
-    assert lines[0] == "replicate,i,t,value"
+    # the same columns as model br: argmax_atom is the Brownian motion on top
+    assert lines[0] == "replicate,i,t,value,argmax_atom"
     rows = [line.split(",") for line in lines[1:]]
     assert len(rows) == reps * (n + 1)
     for r in range(reps):
-        mx, _ = sample_max_two_bm(Grid(n), replicate_rng(seed, r))
+        path = sample_max_two_bm(Grid(n), replicate_rng(seed, r))
+        w1, w2 = path.z
         mine = rows[r * (n + 1):(r + 1) * (n + 1)]
         assert [(int(row[0]), int(row[1])) for row in mine] == [(r, i) for i in range(n + 1)]
         # repr round-trips, so the values come back bit for bit
-        assert np.array_equal([float(row[3]) for row in mine], mx.values)
+        assert np.array_equal([float(row[3]) for row in mine], np.maximum(w1, w2))
+        assert [int(row[4]) for row in mine] == (w2 > w1).astype(int).tolist()
 
 
 def test_simulate_h_table_file(tmp_path):
@@ -289,10 +318,19 @@ _POWER_LAW = {"form": "power_law", "a": 1.0, "b": 1.0, "gamma": 1.0}
     (["--experiment", "clt", "--model", "max2bm", "--halfwidth", "5e-324", "--n", "64",
       "--reps", "4"], None, "the band h/sqrt(n) must be at least 1e-12"),
     (["--experiment", "estimate_h", "--window", "4"], None, "requires a window"),
+    # B sums floor(n t_eval) - 1 increments, none at n = 64, t_eval = 0.01
+    (["--experiment", "clt", "--n", "64", "--t-eval", "0.01"], None,
+     "floor(n t_eval) must be at least 2"),
+    # sigma^2 / n underflows to 0: the sampler's steps would divide by it
+    (["--experiment", "frechet", "--sigma", "5e-324"], None, "underflows to 0 or overflows"),
     (["--experiment", "lln", "--p", "0"], None, "order p must be a positive integer"),
     (["--experiment", "clt", "--p", "-1"], None, "order p must be a positive integer"),
-    # the sampler's block-memory cap, n = 2^20
+    # the sampler's block-memory cap, n = 2^20, for either model
     (["--experiment", "lln", "--n", "1048576", "--reps", "8"], None, "above the cap"),
+    (["--experiment", "lln", "--model", "max2bm", "--n", "1048576", "--reps", "8"], None,
+     "above the cap"),
+    (["--experiment", "clt", "--model", "max2bm", "--n", "1048576", "--reps", "8"], None,
+     "above the cap"),
     # m_p and J_p overflow past p ~ 300, clt's m_2p past p ~ 150, and the
     # power-variation scale n^{p/2-1} past p ~ 188 at n = 2048
     (["--experiment", "lln", "--model", "br", "--p", "339", "--n", "64", "--reps", "4"],
@@ -310,8 +348,10 @@ _POWER_LAW = {"form": "power_law", "a": 1.0, "b": 1.0, "gamma": 1.0}
 ], ids=("marginal-max2bm", "frechet-max2bm", "estimate_h-no-window", "max2bm-sigma2",
         "max2bm-h_spec", "malformed-h_spec", "moment_bias-power", "marginal-power",
         "power-law-nan", "epsilon-0", "halfwidth-0", "halfwidth-100", "halfwidth-4-n4096",
-        "halfwidth-subnormal-br", "halfwidth-subnormal-max2bm", "window-4", "lln-p0",
-        "clt-p-1", "n-over-cap", "lln-p339", "clt-m2p-overflow", "lln-scale-overflow",
+        "halfwidth-subnormal-br", "halfwidth-subnormal-max2bm", "window-4",
+        "clt-no-increment", "sigma-subnormal", "lln-p0", "clt-p-1", "n-over-cap",
+        "n-over-cap-max2bm-lln", "n-over-cap-max2bm-clt", "lln-p339", "clt-m2p-overflow",
+        "lln-scale-overflow",
         "estimate_h-overflow", "lln-allowance-overflow"))
 def test_verify_runner_preconditions_exit_2(argv, file_cfg, message, tmp_path,
                                             monkeypatch, capsys):
@@ -342,16 +382,21 @@ def test_verify_runner_preconditions_exit_2(argv, file_cfg, message, tmp_path,
     ["simulate", "--model", "max2bm", "--n", "8", "--sigma", "2"],
     ["simulate", "--model", "max2bm", "--n", "8", "--h-spec", "empty.csv"],
     ["simulate", "--model", "br", "--n", "8", "--h-spec", "nan.csv"],
+    ["simulate", "--model", "br", "--n", "8", "--sigma", "5e-324"],
     # model br takes sigma or an H table, not both, as verify does
     ["simulate", "--model", "br", "--n", "8", "--h-spec", "h.csv", "--sigma", "5"],
-    # the sampler's block-memory cap, n = 2^20
+    # the samplers' block-memory cap, n = 2^20, for either model
     ["simulate", "--model", "br", "--n", "1048576"],
+    ["simulate", "--model", "max2bm", "--n", "1048576"],
+    ["simulate", "--model", "max2bm", "--n", "8", "--epsilon", "0"],
     # at least one replicate, from a non-negative seed
     ["simulate", "--model", "br", "--n", "8", "--reps", "-3"],
     ["simulate", "--model", "br", "--n", "8", "--seed", "-1"],
 ], ids=("powervar", "powervar-empty", "estimate-h", "simulate", "simulate-epsilon",
         "simulate-max2bm-sigma2", "simulate-max2bm-h-spec", "simulate-h-spec-nan",
-        "simulate-sigma-and-h-spec", "simulate-n-over-cap", "simulate-reps-negative",
+        "simulate-sigma-subnormal",
+        "simulate-sigma-and-h-spec", "simulate-n-over-cap", "simulate-n-over-cap-max2bm",
+        "simulate-epsilon-max2bm", "simulate-reps-negative",
         "simulate-seed-negative"))
 def test_bad_input_leaves_existing_out_untouched(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -364,6 +409,24 @@ def test_bad_input_leaves_existing_out_untouched(argv, tmp_path, monkeypatch, ca
     assert keep.read_text() == "old\n"
 
 
+@pytest.mark.parametrize("argv", [
+    # B near 1e155: its variance overflows
+    ["--experiment", "lln", "--p", "153", "--n", "64", "--reps", "2", "--sigma", "3",
+     "--epsilon", "0.0078125", "--master-seed", "163"],
+    # B is far below the ulp of the target m_31, so S rounds to one value and
+    # the regression's r_squared is 0/0
+    ["--experiment", "clt", "--p", "31", "--n", "2", "--reps", "2"],
+], ids=("lln-variance", "clt-constant-S"))
+def test_statistic_past_the_float_range_exits_3(argv, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    out.write_text("old\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("verify", *argv, "--out", str(out)) == 3
+    assert "a statistic of the run is past the float range" in capsys.readouterr().err
+    assert out.read_text() == "old\n"
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "maxstable_pv.cli",
                            "tabulate-increment-law", "--sigma", "1.0",
@@ -371,3 +434,103 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "u,marginal_cdf,cond_cdf_eta1" in proc.stdout
+
+
+# valid values of the verify fields (each given by flag or in --config) and
+# of the simulate flags, both models included, at n <= 64 and reps <= 4
+_VERIFY_VALUES = {
+    "experiment": st.sampled_from(sorted(mc_harness.EXPERIMENTS)),
+    "model": st.sampled_from(["br", "max2bm"]),
+    # half the orders small, where every experiment runs; the rest up to
+    # where the constants leave the float range
+    "p": st.one_of(st.integers(1, 10), st.integers(1, 400)),
+    "n": st.sampled_from([2, 8, 64]),
+    "reps": st.integers(2, 4),
+    "sigma": st.one_of(st.none(), st.floats(0.1, 4.0)),
+    "epsilon": st.floats(1e-6, 1e-2),
+    "halfwidth": st.floats(0.01, 3.9),
+    "master_seed": st.integers(0, 2 ** 64),
+    "t_eval": st.floats(0.01, 1.0),
+    "window": st.sampled_from([0, 16]),
+}
+_SIMULATE_VALUES = {
+    "model": st.sampled_from(["br", "max2bm"]),
+    "n": st.sampled_from([2, 8, 64]),
+    "reps": st.integers(1, 4),
+    "seed": st.integers(0, 2 ** 64),
+    "sigma": st.one_of(st.none(), st.floats(0.1, 4.0)),
+    "epsilon": st.floats(1e-6, 1e-2),
+}
+
+
+def _edges(keys):
+    # an edge value replaces a valid one; a large integer for reps would be
+    # a valid run past the size this property runs
+    return st.dictionaries(st.sampled_from(sorted(keys)), _EDGE_VALUES, max_size=2).filter(
+        lambda d: not (type(d.get("reps")) is int and d["reps"] > 4))
+
+
+_VERIFY_BASE = dict(experiment="clt", model="br", p=2, n=64, reps=2, sigma=None,
+                    epsilon=1e-3, halfwidth=1.0, master_seed=0, t_eval=1.0, window=0)
+_SIMULATE_BASE = dict(model="br", n=8, reps=1, seed=0, sigma=None, epsilon=1e-3)
+
+
+@settings(max_examples=300, deadline=None)
+# a subnormal halfwidth, once accepted, overflowed the pair functional's
+# step weights inside every replicate
+@example("verify", _VERIFY_BASE, {"halfwidth": 5e-324}, set(), _SIMULATE_BASE, {})
+@example("verify", {**_VERIFY_BASE, "model": "max2bm"}, {"halfwidth": 5e-324}, {"halfwidth"},
+         _SIMULATE_BASE, {})
+@given(st.sampled_from(["verify", "simulate"]),
+       st.fixed_dictionaries(_VERIFY_VALUES), _edges(_VERIFY_VALUES),
+       st.sets(st.sampled_from(sorted(_VERIFY_VALUES))),
+       st.fixed_dictionaries(_SIMULATE_VALUES), _edges(_SIMULATE_VALUES))
+def test_cli_refuses_before_drawing_or_runs_clean(command, verify, verify_edges, as_flags,
+                                                   simulate, simulate_edges):
+    # either the input is refused (exit 2) before any path is drawn, leaving
+    # an existing --out as it was, or the run exits 0, 1 or 3 with no
+    # RuntimeWarning, and a report it writes is strict JSON
+    real = mc_harness.sample_brown_resnick
+    draws = []
+
+    def counted_br(*args, **kwargs):
+        draws.append(1)
+        # an epsilon the stop rule cannot meet (5e-324 makes q_eps infinite)
+        # exhausts any budget; a small one gets to that exit 3 sooner
+        return real(*args, **{**kwargs, "atom_budget": 2 ** 14})
+
+    def counted_max2bm(*args, **kwargs):
+        draws.append(1)
+        return sample_max_two_bm(*args, **kwargs)
+
+    if command == "verify":
+        fields = {**verify, **verify_edges}
+        flags = {k: v for k, v in fields.items() if k in as_flags and v is not None}
+        file_cfg = {k: v for k, v in fields.items() if k not in flags}
+    else:
+        flags = {k: v for k, v in {**simulate, **simulate_edges}.items() if v is not None}
+        file_cfg = None
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(mc_harness, "sample_brown_resnick", counted_br), \
+            mock.patch.object(mc_harness, "sample_max_two_bm", counted_max2bm), \
+            mock.patch.dict("os.environ", {"MAXSTABLE_PV_THREADS": "1"}), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = Path(tmp) / "out"
+        out.write_text("old\n")
+        argv = [command, "--out", str(out)]
+        if file_cfg is not None:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(file_cfg))
+            argv += ["--config", str(cfg)]
+        for key, value in flags.items():
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        code = run_cli(*argv)
+        if code == 2:
+            assert not draws
+            assert out.read_text() == "old\n"
+            return
+        assert code in (0, 1, 3)
+        written = out.read_text()
+        if command == "verify" and written != "old\n":
+            json.loads(written, parse_constant=_reject_constant)

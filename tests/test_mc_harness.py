@@ -74,6 +74,12 @@ def test_config_validation():
     cfg = ExperimentConfig(experiment="lln", h_spec={"form": "power_law", "a": 1.0, "b": 1.0})
     assert cfg.sigma is None and cfg.volatility.kind == "power_law"
     assert ExperimentConfig(experiment="lln").volatility.sigma == 1.0
+    # the sampler's epsilon and grid cap bound either model
+    for model in ("br", "max2bm"):
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            ExperimentConfig(experiment="lln", model=model, epsilon=0.0)
+        with pytest.raises(ValueError, match="above the cap"):
+            ExperimentConfig(experiment="lln", model=model, n=2 ** 20)
     # a band h/sqrt(n) below 1e-12 is refused for either model
     for model in ("br", "max2bm"):
         with pytest.raises(ValueError, match="band h/sqrt\\(n\\) must be at least 1e-12"):
@@ -311,7 +317,7 @@ def test_run_experiment_dispatch():
     (dict(experiment="frechet", sigma=1.0, n=256), "2",
      "1d3f928f87d0c469793079d0d31c2e60b865d301da88e04c6664bb962e83bff4"),
     (dict(experiment="clt", model="max2bm"), "1",
-     "ff4cd1b1e4455142325588893a1d067a9f0b62cbe3b60aaa3294ea637f056baf"),
+     "653107010b9c8219ec62a58f724b33ab12f28cebe0d67bee2b20870f8ca11435"),
 ], ids=("clt-sigma1", "clt-sigma2", "clt-power", "frechet-pooled", "clt-max2bm"))
 def test_report_golden_digests(monkeypatch, case, workers, digest):
     # SHA-256 of the canonical report; any change to a drawn number, a

@@ -207,11 +207,15 @@ def test_max_two_bm():
     reps = 10_000
     at_one = np.empty(reps)
     for r in range(reps):
-        mx, diff = sample_max_two_bm(grid, replicate_rng(13, r))
-        assert mx.values[0] == 0.0
-        w1 = mx.values - np.maximum(diff.values, 0.0)
-        assert np.all(mx.values >= w1 - 1e-15)
-        at_one[r] = mx.values[-1]
+        path = sample_max_two_bm(grid, replicate_rng(13, r))
+        # two atoms of weight 1 and unit volatility; log eta is their
+        # maximum with no drift, and the pair is the whole series
+        assert np.array_equal(path.log_r, np.zeros(2))
+        assert np.array_equal(path.log_eta.values, path.z.max(axis=0))
+        assert path.log_eta.values[0] == 0.0
+        assert path.vol.kind == "constant" and path.vol.sigma == 1.0
+        assert path.truncation_diag == TruncationDiagnostics(2, math.inf, 0.0, 2)
+        at_one[r] = path.log_eta.values[-1]
     target = 1.0 / math.sqrt(math.pi)          # E max of two iid N(0,1)
     se = at_one.std(ddof=1) / math.sqrt(reps)
     assert abs(at_one.mean() - target) < 4 * se

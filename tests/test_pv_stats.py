@@ -120,7 +120,8 @@ def test_local_time_estimators_hit_known_mean():
     kern = np.empty(reps)
     tank = np.empty(reps)
     for r in range(reps):
-        _, diff = sample_max_two_bm(grid, replicate_rng(5, r))
+        w1, w2 = sample_max_two_bm(grid, replicate_rng(5, r)).z
+        diff = GridPath(grid, w2 - w1)
         kern[r] = pv_stats.local_time_kernel(diff, 1.0, 1.0)
         tank[r] = pv_stats.local_time_tanaka(diff, 1.0)
     for est in (kern, tank):
@@ -154,13 +155,12 @@ def test_bias_functional_zero_when_one_atom_dominates():
 @pytest.mark.parametrize("seed", (6, 11, 29))
 @pytest.mark.parametrize("p", (1, 2, 3))
 def test_bias_functional_reduces_to_kernel_local_time(p, seed, t, n):
-    # the two routes to the max2bm CLT bias: the pair functional on the two
-    # Brownian atoms W1, W2 is (lambda(phi_{p,1}) / 2) times the kernel local
-    # time of W2 - W1, which is the route the clt experiment takes
+    # the max2bm CLT bias, the pair functional on the two Brownian atoms
+    # W1, W2 (what the clt experiment reads), is (lambda(phi_{p,1}) / 2)
+    # times the kernel local time of W2 - W1, the reference here
     grid = Grid(n)
-    mx, diff = sample_max_two_bm(grid, replicate_rng(seed, 0))
-    w1 = mx.values - np.maximum(diff.values, 0.0)
-    path = _two_atom_path(grid, w1, w1 + diff.values)
+    path = sample_max_two_bm(grid, replicate_rng(seed, 0))
+    diff = GridPath(grid, path.z[1] - path.z[0])
     local_time = pv_stats.local_time_kernel(diff, t, 1.0)
     assert local_time > 0.0         # the pair fires at some step
     expected = 0.5 * pv_stats.lambda_phi_unit(p) * local_time
