@@ -29,8 +29,6 @@ from .path_sim import (
 from .pv_stats import (
     clt_bias_functional,
     estimate_h,
-    local_time_kernel,
-    local_time_tanaka,
     power_variation,
 )
 from .mc_harness import (

@@ -23,9 +23,8 @@ Gaussian moments in closed form for integer p.  The remaining u-integral is
 smooth, so the Gauss-Kronrod machinery converges at spectral rate.
 
 The moment-bias constant J_p (bias_integral) is exact for integer p.  The
-bracket of its integral, the tests' oracle, uses the scaled complementary
-error function for the Mills ratio Phibar(u)/phi(u), which is finite and
-accurate for all u (the naive ratio is 0/0 in floating point past u ~ 38).
+bracket of its defining integral, which only the tests read as its oracle,
+lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfcx, ndtr
+from scipy.special import ndtr
 
 from .quadrature import QuadratureConfig, adaptive_gauss_kronrod
 
@@ -43,7 +42,6 @@ __all__ = [
     "phi2_kernel",
     "lambda_integral",
     "bias_integral",
-    "bias_integrand_bracket",
     "tabulate_kernels",
     "KERNEL_TOL",
 ]
@@ -272,18 +270,9 @@ def lambda_integral(p: int, sigma: float, which: str = "phi") -> float:
 # moment-bias constant J_p
 # ---------------------------------------------------------------------------
 
-def bias_integrand_bracket(u):
-    """1/2 - Phibar(u) - u Phibar(u) Phi(u) / phi(u), via erfcx for the Mills ratio.
-
-    Vanishes at u = 0 and tends to -1/2 as u -> inf.
-    """
-    u = np.asarray(u, dtype=float)
-    mills = math.sqrt(math.pi / 2.0) * erfcx(u / _SQRT2)   # Phibar(u)/phi(u)
-    return 0.5 - ndtr(-u) - u * mills * ndtr(u)
-
-
 def bias_integral(p: int) -> float:
-    """J_p = 2p int_0^inf u^{p-1} phi(u) * bracket(u) du, the n -> infinity
+    """J_p = 2p int_0^inf u^{p-1} phi(u) * bracket(u) du, with
+    bracket(u) = 1/2 - Phibar(u) - u Phibar(u) Phi(u) / phi(u), the n -> infinity
     limit of sqrt(n) (E|U^n|^p - m_p) for the normalized increments of the
     stationary log-process; its sign is reported, not asserted.
 

@@ -2,18 +2,20 @@
 
 ``EXPERIMENTS`` is the one table keyed by experiment name.  An entry holds
 a prepare step (the experiment's own preconditions, and the dict of
-closed-form constants it reads), a row function (one replicate's
-statistics; None for moment_bias, which draws nothing) and a judge (the
-columns, in replicate-index order, to per_replicate, aggregate and
-verdicts, each verdict with its measured value and threshold).
+closed-form constants its judge reads, plus any that only the config
+check reads), a row function (one replicate's statistics; None for
+moment_bias, which draws nothing) and a judge (the columns, in
+replicate-index order, to per_replicate, aggregate and verdicts, each
+verdict with its measured value and threshold).
 
 An ExperimentConfig runs the checks all experiments share, resolves H once
 into ``config.volatility`` (max2bm is the constant-1 case) and runs the
 prepare step once into ``config.constants``; neither is a field, so the
 report's config and hash stay as given.  ``resolve_volatility`` is also the
-boundary check simulate shares: epsilon and the grid cap, for either model.
-A bad config, or a p that takes a constant past the float range, raises
-ValueError (CLI exit 2) before any replicate is drawn.
+boundary check simulate shares: epsilon and the grid cap, for either model,
+and for br a stop rule that can fire within the atom budget.  A bad config,
+or a p that takes a constant past the float range, raises ValueError (CLI
+exit 2) before any replicate is drawn.
 
 ``run_experiment(config)``, the one entry point, maps the row function over
 the replicates, judges the columns and times the run.  ``_simulate`` draws
@@ -61,6 +63,7 @@ from .path_sim import (
     VolatilitySpec,
     check_epsilon,
     check_grid_size,
+    check_stop_rule,
     replicate_rng,
     sample_brown_resnick,
     sample_max_two_bm,
@@ -84,7 +87,8 @@ def resolve_volatility(model: str, sigma: float | None, h_spec: VolatilitySpec |
     H.  max2bm has unit volatility: no H spec, and sigma 1 or None.  br takes
     sigma or an H spec, not both; sigma None without a spec means 1.  Every
     grid step's variance int H^2 must be a positive finite float, or the
-    sampler's steps and bridges divide by 0 or inf."""
+    sampler's steps and bridges divide by 0 or inf; and br's stop rule must
+    be able to fire within the atom budget (``check_stop_rule``)."""
     check_epsilon(epsilon)
     check_grid_size(n)
     if model == "max2bm" and (h_spec is not None or sigma not in (None, 1.0)):
@@ -96,12 +100,15 @@ def resolve_volatility(model: str, sigma: float | None, h_spec: VolatilitySpec |
         1.0 if sigma is None else sigma)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            step_var = np.diff(vol.integrated_power(2, Grid(n).times))
+            var = vol.integrated_power(2, Grid(n).times)
+            step_var = np.diff(var)
     except OverflowError:       # sigma ** 2 of a Python float
         step_var = np.array([math.inf])
     if not np.all((step_var > 0.0) & (step_var < math.inf)):
         raise ValueError(f"the volatility's variance int H^2 over a grid step of 1/{n} "
                          f"underflows to 0 or overflows; H must stay in the float range")
+    if model == "br":
+        check_stop_rule(float(var[-1]), epsilon)
     return vol
 
 
@@ -361,7 +368,9 @@ def _require(cfg: ExperimentConfig, br: bool = False, constant_h: bool = False) 
 
 def _prepare_lln(cfg: ExperimentConfig) -> dict:
     """The target m_p * int_0^t H^p and its allowance: the predicted
-    O(1/sqrt(n)) mean shift plus the deficit of the floor(nt) - 1 increments."""
+    O(1/sqrt(n)) mean shift plus the deficit of the floor(nt) - 1 increments.
+    No judge reads pv_scale = n^{p/2 - 1}: the finite-and-nonzero check does,
+    to refuse a p that takes the power-variation scale past the float range."""
     p, t, n = cfg.p, cfg.t_eval, cfg.n
     vol = cfg.volatility
     target = gauss_kernels.abs_moment(p) * vol.integrated_power(p, t)
@@ -396,8 +405,9 @@ def _lln(config: ExperimentConfig, cols: dict) -> tuple:
 
 def _prepare_clt(cfg: ExperimentConfig) -> dict:
     """The LLN target and the conditional variance (m_2p - m_p^2) int H^{2p};
-    the pair functional's halfwidth stays below 4 for either model."""
-    pv_stats.check_halfwidth(cfg.halfwidth, cfg.n, kept_atoms=True)
+    the pair functional's halfwidth stays below 4 for either model.  As in
+    lln, pv_scale is read by no judge, only by the finite-and-nonzero check."""
+    pv_stats.check_halfwidth(cfg.halfwidth, cfg.n)
     p, t, vol = cfg.p, cfg.t_eval, cfg.volatility
     if Grid(cfg.n).last_increment(t) < 2:
         # B sums floor(nt) - 1 increments: none leaves S constant, and the
@@ -579,7 +589,9 @@ def _moment_bias(config: ExperimentConfig, cols=None) -> tuple:
 
 
 def _prepare_h_recovery(cfg: ExperimentConfig) -> dict:
-    """m_p and the scale n^{p/2} that estimate_h applies to every path."""
+    """m_p and the scale n^{p/2} that estimate_h applies to every path, read by
+    no judge: the finite-and-nonzero check refuses a p that takes either past
+    the float range."""
     _require(cfg, br=True)
     pv_stats.check_window(cfg.window, cfg.n)
     return {"m_p": gauss_kernels.abs_moment(cfg.p), "pv_scale": float(cfg.n) ** (cfg.p / 2.0)}
@@ -595,7 +607,7 @@ def _h_recovery(config: ExperimentConfig, cols: dict) -> tuple:
 
 
 class Experiment(NamedTuple):
-    prepare: Callable       # config -> the dict of closed-form constants it reads
+    prepare: Callable       # config -> the dict of closed-form constants it checks
     row: Callable | None    # (config, index) -> that replicate's statistics
     judge: Callable         # (config, columns) -> (per_replicate, aggregate, verdicts)
 

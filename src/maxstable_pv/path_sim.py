@@ -70,6 +70,8 @@ __all__ = [
     "replicate_rng",
     "check_epsilon",
     "check_grid_size",
+    "check_stop_rule",
+    "ATOM_BUDGET",
     "retain_margin",
     "MAX_HALFWIDTH",
 ]
@@ -88,6 +90,10 @@ _MAX_BLOCK_BYTES = 512 * 2 ** 20
 # the widest kernel halfwidth h the pair bias functional may use; it sets
 # the retain margin on the h / sqrt(n) scale of the functional's band
 MAX_HALFWIDTH = 4.0
+ATOM_BUDGET = 1_000_000     # the sampler's default atom budget
+# the least chance of finishing within ATOM_BUDGET atoms that a br config's
+# replicates may have (check_stop_rule)
+_MIN_FINISH_PROB = 1e-6
 
 
 def replicate_rng(master_seed: int, replicate_index: int) -> np.random.Generator:
@@ -343,6 +349,23 @@ def check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must lie in (0, 0.01], got {epsilon}")
 
 
+def _stop_quantile(total_var: float, epsilon: float) -> float:
+    """q_eps = sqrt(Sigma) PhibarInv(eps/2): the stop rule's bound on sup_t int H dW."""
+    return math.sqrt(total_var) * float(-ndtri(epsilon / 2.0))
+
+
+def check_stop_rule(total_var: float, epsilon: float) -> None:
+    """The stop rule fires at atom k only if Gamma_k > Gamma_1 e^{q_eps}, since
+    every Z path starts at its log R = -log Gamma.  With Gamma_k ~ k a replicate
+    finishes with probability at most about ATOM_BUDGET e^{-q_eps}: refuse an
+    infinite q_eps, or one that puts this below _MIN_FINISH_PROB."""
+    q_eps = _stop_quantile(total_var, epsilon)
+    if not q_eps <= math.log(ATOM_BUDGET / _MIN_FINISH_PROB):
+        raise ValueError(f"the stop rule cannot fire: epsilon {epsilon!r} and int_0^1 H^2 = "
+                         f"{total_var:.6g} give q_eps = {q_eps:.6g}, so a replicate finishes "
+                         f"within {ATOM_BUDGET} atoms with probability below {_MIN_FINISH_PROB:g}")
+
+
 def check_grid_size(n: int) -> None:
     """A block whose 64 atoms are all refined must fit in _MAX_BLOCK_BYTES;
     the grid cap of both models."""
@@ -409,9 +432,8 @@ class _CoarseLattice:
         the margin, and a, b the row's coarse values at its ends, a row is
         hot if c <= max(a, b) or exp(-2 (c - a)(c - b) / tau) > _SCREEN_TOL
         on some segment; the latter bounds the chance that the bridge
-        between a and b reaches c."""
-        if run_max[0] == -np.inf:       # nothing drawn yet: every row is hot
-            return np.arange(len(zc))
+        between a and b reaches c.  Before any atom is refined, run_max is
+        -inf, so c = -inf and every row is hot."""
         idx = self.idx
         c = np.minimum(np.minimum.reduceat(run_max, idx[:-1]), run_max[idx[1:]]) - margin
         da = c - zc[:, :-1]
@@ -466,7 +488,7 @@ class _FineNormals:
 
 
 def sample_brown_resnick(h: VolatilitySpec, grid: Grid, rng_stream,
-                         epsilon: float, *, atom_budget: int = 1_000_000) -> MaxStablePath:
+                         epsilon: float, *, atom_budget: int = ATOM_BUDGET) -> MaxStablePath:
     """Truncated-series simulation of the max-stable path eta = max R_i V_i.
 
     Draw order.  First a 128-bit Philox key from ``rng_stream``.  Then, per
@@ -511,7 +533,7 @@ def sample_brown_resnick(h: VolatilitySpec, grid: Grid, rng_stream,
     n = grid.n
     check_grid_size(n)
     lattice = _CoarseLattice(h, n)
-    q_eps = math.sqrt(float(lattice.var[-1])) * float(-ndtri(epsilon / 2.0))
+    q_eps = _stop_quantile(float(lattice.var[-1]), epsilon)
     fine = _FineNormals(rng_stream.bit_generator.random_raw(2))
     margin = retain_margin(n)
 

@@ -1,16 +1,11 @@
-"""Path statistics: power variations, local times, and the CLT pair bias functional.
+"""Path statistics: power variations, the CLT pair bias functional, and the
+localized volatility estimate.
 
 The normalized power variation of order p of a grid path X is
 
     B(p, X)^n_t = n^{p/2 - 1} * sum_{i=1}^{floor(nt) - 1} |X_{i/n} - X_{(i-1)/n}|^p,
 
 with the upper limit floor(nt) - 1 (one increment short of the horizon).
-
-Local time at level 0 is estimated two independent ways: a kernel count
-(1/(h sqrt(n))) sum 1{|sqrt(n) X_{(i-1)/n}| <= h}, whose window function has
-exact integral 2h, and the discrete Tanaka residual
-|X| - |X_0| - sum sign(X) dX.  Both converge to L^0 for continuous
-martingales; their per-path disagreement is itself a diagnostic.
 
 The pair bias functional, the CLT bias regressor of both models, accumulates,
 over every retained atom pair (j, k), the kernel local-time increments of
@@ -23,11 +18,14 @@ moment-bias constant, so that constant is exact.
 
 At most one pair can lie strictly above every other atom at a step: the
 top two, when the second value v2 exceeds the third v3.  So with the step's
-values v1 >= v2 >= v3 (v3 = -inf for two atoms) the pair restriction is
-v2 > v3, and the near-tie test is v1 - v2 <= h/sqrt(n), because
-|Z_j - Z_k| equals max - min exactly in floating point.  The functional is
-then one weighted sum of the step weights over the firing steps, read from
-the top three values alone.
+values v1 >= v2 >= v3 (-inf where fewer atoms are kept) the pair
+restriction is v2 > v3, and the near-tie test is v1 - v2 <= h/sqrt(n),
+because |Z_j - Z_k| equals max - min exactly in floating point.  The
+functional is then one weighted sum of the step weights over the firing
+steps, read from the top three values alone.
+
+The kernel and Tanaka local-time estimators, which only the tests read,
+live with them in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -42,8 +40,6 @@ from .path_sim import MAX_HALFWIDTH, GridPath, MaxStablePath, retain_margin
 
 __all__ = [
     "power_variation",
-    "local_time_kernel",
-    "local_time_tanaka",
     "clt_bias_functional",
     "estimate_h",
     "full_window_slice",
@@ -57,21 +53,21 @@ __all__ = [
 _MIN_BAND = 1e-12
 
 
-def check_halfwidth(halfwidth: float, n: int, kept_atoms: bool = False) -> None:
+def check_halfwidth(halfwidth: float, n: int) -> None:
     """h > 0 with a band h/sqrt(n) of at least 1e-12: the n grid values fall
     in a narrower band about n * 1e-12 times in expectation, so the estimate
     reads little but exact ties, and near the subnormal range its weight
-    1/(h sqrt(n)) overflows to inf.  And for the pair functional on a sampled
-    path's kept atoms, h/sqrt(n) below the retain margin MAX_HALFWIDTH/sqrt(n),
-    that is h below 4, or atoms that near the top may have been discarded.
-    The test compares the floats the sampler's keep filter uses, so the
-    second atom of every firing step is kept."""
+    1/(h sqrt(n)) overflows to inf.  And h/sqrt(n) below the sampler's retain
+    margin MAX_HALFWIDTH/sqrt(n), that is h below 4, or atoms that near the
+    top of a sampled path may have been discarded.  The test compares the
+    floats the sampler's keep filter uses, so the second atom of every
+    firing step is kept."""
     if not halfwidth > 0:
         raise ValueError(f"halfwidth must be positive, got {halfwidth}")
     if halfwidth / math.sqrt(n) < _MIN_BAND:
         raise ValueError(f"halfwidth {halfwidth} is too small: the band h/sqrt(n) must be "
                          f"at least {_MIN_BAND:g}, or it holds only exact ties")
-    if kept_atoms and halfwidth / math.sqrt(n) >= retain_margin(n):
+    if halfwidth / math.sqrt(n) >= retain_margin(n):
         raise ValueError(f"halfwidth {halfwidth} reaches the retain margin: h/sqrt(n) must "
                          f"stay below {MAX_HALFWIDTH:g}/sqrt(n), or near-top atoms may be "
                          f"missing")
@@ -94,33 +90,6 @@ def power_variation(path: GridPath, p: int, t: float) -> float:
     return float(n ** (p / 2.0 - 1.0) * np.sum(np.abs(d) ** p))
 
 
-def local_time_kernel(path: GridPath, t: float, halfwidth: float) -> float:
-    """Kernel-count estimate of L^0_t using g = 1_{[-h, h]} (lambda(g) = 2h)."""
-    n = path.grid.n
-    check_halfwidth(halfwidth, n)
-    m = path.grid.last_increment(t)
-    if m <= 1:
-        return 0.0
-    left = path.values[: m - 1]
-    hits = np.abs(math.sqrt(n) * left) <= halfwidth
-    return float(hits.sum() / (halfwidth * math.sqrt(n)))
-
-
-def _sign_plus(x: np.ndarray) -> np.ndarray:
-    """sign with sign(0) = +1; fixed convention for reproducibility."""
-    return np.where(x >= 0.0, 1.0, -1.0)
-
-
-def local_time_tanaka(path: GridPath, t: float) -> float:
-    """Discrete Tanaka residual |X_{m/n}| - |X_0| - sum sign(X) dX, m = floor(nt)."""
-    m = path.grid.last_increment(t)
-    if m < 1:
-        return 0.0
-    v = path.values
-    signed = _sign_plus(v[:m]) * np.diff(v[: m + 1])
-    return float(abs(v[m]) - abs(v[0]) - signed.sum())
-
-
 def lambda_phi_unit(p: int) -> float:
     """lambda(phi_{p,1}) = 2 J_p, from the closed-form moment-bias constant;
     every sigma follows by the exact sigma^{p+1} scaling law."""
@@ -139,14 +108,14 @@ def clt_bias_functional(ms_path: MaxStablePath, p: int, t: float,
     quadratic variation).  With lambda(phi_{p,sigma}) =
     sigma^{p+1} lambda(phi_{p,1}) the net per-step weight is
     lambda(phi_{p,1}) H^{p+1} / (2 h sqrt(n)).
+
+    The top three per step are running maxima over the kept rows from -inf:
+    one atom leaves v2 = v3 = -inf, so v2 > v3 fails and no step fires.
     """
     p = _check_order(p)
     grid = ms_path.grid
     n = grid.n
-    check_halfwidth(halfwidth, n, kept_atoms=True)
-    if ms_path.z.shape[0] < 2:
-        # a lone retained atom forms no pair, so the pair sum is empty
-        return 0.0
+    check_halfwidth(halfwidth, n)
     thr = halfwidth / math.sqrt(n)
     lam1 = lambda_phi_unit(p)
     h_left = ms_path.vol.value(grid.times[:n])
@@ -155,11 +124,12 @@ def clt_bias_functional(ms_path: MaxStablePath, p: int, t: float,
     if m <= 1:
         return 0.0
 
-    Z = ms_path.z[:, : m - 1]
-    K = Z.shape[0]
-    v = np.partition(Z, range(max(K - 3, 0), K), axis=0)[-3:]  # v[-1] >= v[-2] >= v[-3]
-    v3 = v[-3] if K >= 3 else -np.inf
-    fire = (v[-1] - v[-2] <= thr) & (v[-2] > v3)
+    v1, v2, v3 = np.full((3, m - 1), -np.inf)
+    for z in ms_path.z[:, : m - 1]:
+        np.maximum(v3, np.minimum(v2, z), out=v3)
+        np.maximum(v2, np.minimum(v1, z), out=v2)
+        np.maximum(v1, z, out=v1)
+    fire = (v1 - v2 <= thr) & (v2 > v3)
     return float(weights[: m - 1] @ fire)
 
 

