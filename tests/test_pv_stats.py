@@ -134,6 +134,15 @@ def test_local_time_estimators_hit_known_mean():
 # bias functional
 # ---------------------------------------------------------------------------
 
+def test_bias_functional_needs_two_atoms():
+    grid = Grid(64)
+    path = _two_atom_path(grid, np.zeros(65), np.ones(65))
+    lone = MaxStablePath(path.log_eta, path.log_r[:1], path.z[:1],
+                         path.truncation_diag, path.vol)
+    # a lone retained atom forms no pair: the functional is zero, not an error
+    assert pv_stats.clt_bias_functional(lone, 2, 1.0, 1.0) == 0.0
+
+
 def test_bias_functional_zero_when_one_atom_dominates():
     grid = Grid(64)
     z1 = np.zeros(65)
